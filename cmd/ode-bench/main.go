@@ -3,12 +3,17 @@
 // results) and prints one paper-shaped table per experiment, followed by
 // a pass/fail summary against the paper's predicted shapes.
 //
+// With -json FILE it also writes the ratios each experiment gates, as
+// {"E23": {"ratio/rtt1ms/binary": 14.2, ...}, ...}; `ode-benchdiff
+// BENCH.json FILE` compares them with the committed baseline.
+//
 // Usage:
 //
-//	ode-bench [-quick] [-only E5,E8]
+//	ode-bench [-quick] [-only E5,E8] [-json FILE]
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -22,45 +27,50 @@ func main() {
 	log.SetFlags(0)
 	quick := flag.Bool("quick", false, "reduced iteration counts")
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E2,E5); empty runs all")
+	jsonOut := flag.String("json", "", "write each experiment's gated ratios to this file")
 	flag.Parse()
 
 	r := &experiments.Runner{
 		W:   os.Stdout,
 		Cfg: experiments.Config{Quick: *quick},
 	}
+	var results []experiments.Result
 	if *only == "" {
-		results := r.RunAll()
-		for _, res := range results {
-			if !res.Passed {
-				os.Exit(1)
+		results = r.RunAll()
+	} else {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(strings.ToUpper(id))
+			res, ok := r.Run(id)
+			if !ok {
+				log.Fatalf("unknown experiment %q (valid: %s)", id, strings.Join(experiments.IDs(), ", "))
 			}
+			verdict := "ok"
+			if !res.Passed {
+				verdict = "FAIL"
+			}
+			fmt.Printf("-> %s %s: %s\n\n", res.ID, verdict, res.Summary)
+			results = append(results, res)
 		}
-		return
 	}
 
-	fns := map[string]func() experiments.Result{
-		"E1": r.E1, "E2": r.E2, "E3": r.E3, "E4": r.E4, "E5": r.E5,
-		"E6": r.E6, "E7": r.E7, "E8": r.E8, "E9": r.E9, "E10": r.E10,
-		"E11": r.E11, "E12": r.E12, "E13": r.E13, "E14": r.E14, "E15": r.E15,
-		"E16": r.E16, "E17": r.E17, "E19": r.E19, "E20": r.E20, "E21": r.E21,
-		"E22": r.E22, "E23": r.E23, "E24": r.E24, "E25": r.E25,
-	}
-	failed := false
-	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(strings.ToUpper(id))
-		fn, ok := fns[id]
-		if !ok {
-			log.Fatalf("unknown experiment %q (valid: E1..E17, E19..E25)", id)
+	if *jsonOut != "" {
+		metrics := map[string]map[string]float64{}
+		for _, res := range results {
+			if len(res.Metrics) > 0 {
+				metrics[res.ID] = res.Metrics
+			}
 		}
-		res := fn()
-		verdict := "ok"
+		raw, err := json.MarshalIndent(metrics, "", "  ")
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for _, res := range results {
 		if !res.Passed {
-			verdict = "FAIL"
-			failed = true
+			os.Exit(1)
 		}
-		fmt.Printf("-> %s %s: %s\n\n", res.ID, verdict, res.Summary)
-	}
-	if failed {
-		os.Exit(1)
 	}
 }

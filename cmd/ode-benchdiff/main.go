@@ -1,79 +1,97 @@
-// Command ode-benchdiff compares a freshly generated benchmark JSON file
-// (see bench_test.go's ODE_BENCH_OUT hook) against the committed baseline
-// BENCH_mvcc.json and fails if a machine-independent ratio regressed.
+// Command ode-benchdiff compares the ratios of a fresh `ode-bench -json`
+// run against the committed baseline BENCH.json and fails if one
+// regressed.
 //
-// Absolute throughput numbers vary with hardware, so only the derived
-// "ratio/..." keys are gated: they divide two measurements taken on the
-// same machine in the same run (e.g. snapshot reader q/s over the
-// no-trigger baseline), which cancels the hardware term. A fresh ratio
-// below threshold × committed means snapshot reads got relatively slower.
+// BENCH.json holds one section per gated experiment: the experiment ID,
+// the section's threshold with a note on why it has that value, and the
+// committed value of every ratio it gates. Absolute throughput varies
+// with hardware, so only ratios are gated: each divides two
+// measurements taken on the same machine in the same run (e.g.
+// snapshot reader q/s over the no-trigger baseline), which cancels the
+// hardware term. A fresh ratio below threshold × committed is a
+// regression. Sections whose experiment the fresh run did not include
+// are skipped, so a CI job can run one experiment and diff against the
+// whole file.
 //
 // Usage:
 //
-//	ode-benchdiff [-threshold 0.9] committed.json fresh.json
+//	ode-benchdiff BENCH.json fresh.json
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
-	"strings"
 )
+
+// section is one gated experiment in BENCH.json.
+type section struct {
+	Experiment string             `json:"experiment"`
+	Threshold  float64            `json:"threshold"`
+	Ratios     map[string]float64 `json:"ratios"`
+}
 
 func main() {
 	log.SetFlags(0)
-	threshold := flag.Float64("threshold", 0.9, "fail when fresh ratio < threshold * committed ratio")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		log.Fatalf("usage: ode-benchdiff [-threshold 0.9] committed.json fresh.json")
+	if len(os.Args) != 3 {
+		log.Fatalf("usage: ode-benchdiff BENCH.json fresh.json")
 	}
-	committed := load(flag.Arg(0))
-	fresh := load(flag.Arg(1))
-
-	failed := false
-	checked := 0
-	for _, section := range sortedKeys(committed) {
-		for _, key := range sortedKeys(committed[section]) {
-			if !strings.HasPrefix(key, "ratio/") {
-				continue
-			}
-			want := committed[section][key]
-			got, ok := fresh[section][key]
-			if !ok {
-				fmt.Printf("MISSING %s %s (committed %.2f, fresh run has no value)\n", section, key, want)
-				failed = true
-				continue
-			}
-			checked++
-			verdict := "ok"
-			if got < *threshold*want {
-				verdict = "REGRESSED"
-				failed = true
-			}
-			fmt.Printf("%-9s %s %s: committed %.2f, fresh %.2f\n", verdict, section, key, want, got)
-		}
+	var committed map[string]section
+	var fresh map[string]map[string]float64
+	load(os.Args[1], &committed)
+	load(os.Args[2], &fresh)
+	checked, ok := diff(os.Stdout, committed, fresh)
+	if checked == 0 && ok {
+		log.Fatalf("%s covers no experiment gated in %s — nothing checked", os.Args[2], os.Args[1])
 	}
-	if checked == 0 && !failed {
-		log.Fatalf("no ratio keys found in %s — nothing gated", flag.Arg(0))
-	}
-	if failed {
+	if !ok {
 		os.Exit(1)
 	}
 }
 
-func load(path string) map[string]map[string]float64 {
+// diff gates every ratio of every section whose experiment appears in
+// fresh, writing one line per ratio. It returns how many ratios it
+// compared and whether none regressed or went missing.
+func diff(w io.Writer, committed map[string]section, fresh map[string]map[string]float64) (checked int, ok bool) {
+	ok = true
+	for _, name := range sortedKeys(committed) {
+		sec := committed[name]
+		got, ran := fresh[sec.Experiment]
+		if !ran {
+			continue
+		}
+		for _, key := range sortedKeys(sec.Ratios) {
+			want := sec.Ratios[key]
+			v, present := got[key]
+			if !present {
+				fmt.Fprintf(w, "MISSING   %s %s %s (committed %.2f, fresh run has no value)\n", name, sec.Experiment, key, want)
+				ok = false
+				continue
+			}
+			checked++
+			verdict := "ok"
+			if v < sec.Threshold*want {
+				verdict = "REGRESSED"
+				ok = false
+			}
+			fmt.Fprintf(w, "%-9s %s %s %s: committed %.2f, fresh %.2f, floor %.2f (threshold %.2f)\n",
+				verdict, name, sec.Experiment, key, want, v, sec.Threshold*want, sec.Threshold)
+		}
+	}
+	return checked, ok
+}
+
+func load(path string, v any) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatalf("read %s: %v", path, err)
 	}
-	var out map[string]map[string]float64
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := json.Unmarshal(raw, v); err != nil {
 		log.Fatalf("parse %s: %v", path, err)
 	}
-	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -185,10 +185,25 @@ func decodeOutboxImage(img []byte, classID uint32) (RemoteEvent, bool) {
 // capture runs inside PostUserEvent when ref is remote-owned: persist
 // the event into the outbox as part of tx and track its seq as
 // pending until the transaction resolves.
-func (sh *shardState) capture(tx *txn.Txn, ref Ref, name string) error {
+//
+// The seq is taken and registered as pending in one step under sh.mu.
+// Otherwise a concurrent capture could take a higher seq, commit, and
+// settle in the window before this one is pending; the receiver's
+// watermark would then pass this seq and drop it as a duplicate.
+func (sh *shardState) capture(tx *txn.Txn, ref Ref, name string) (err error) {
 	db := sh.db
 	st := db.state(tx)
+	sh.mu.Lock()
 	cause := db.causes.Next()
+	sh.pending[cause.Seq] = struct{}{}
+	sh.mu.Unlock()
+	defer func() {
+		if err != nil {
+			sh.mu.Lock()
+			delete(sh.pending, cause.Seq)
+			sh.mu.Unlock()
+		}
+	}()
 	ev := RemoteEvent{
 		Seq:    cause.Seq,
 		Node:   cause.Node,
@@ -204,9 +219,6 @@ func (sh *shardState) capture(tx *txn.Txn, ref Ref, name string) error {
 	if err != nil {
 		return err
 	}
-	sh.mu.Lock()
-	sh.pending[ev.Seq] = struct{}{}
-	sh.mu.Unlock()
 	st.outbox = append(st.outbox, OutboxEntry{RemoteEvent: ev, OID: uint64(oid)})
 	sh.captured.Inc()
 	db.met.eventsPosted.Inc()

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"ode/internal/storage"
@@ -45,24 +46,29 @@ func evenOdd(self uint64) func(uint64) bool {
 // both with Doc registered and sharding enabled.
 func newShardPair(t *testing.T) (a, b *Database) {
 	t.Helper()
-	mk := func(self uint64, node uint64) *Database {
-		store := dali.New()
-		store.SetOIDFilter(evenOdd(self))
-		db, err := NewDatabase(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.Causes().SetNode(node)
-		if err := db.Register(newDocClass()); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.EnableSharding(evenOdd(self)); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		return db
+	return newShard(t, dali.New(), 0, 0xA), newShard(t, dali.New(), 1, 0xB)
+}
+
+// newShard opens shard self of an even/odd pair over store, as node.
+func newShard(t *testing.T, store interface {
+	storage.Manager
+	SetOIDFilter(func(uint64) bool)
+}, self, node uint64) *Database {
+	t.Helper()
+	store.SetOIDFilter(evenOdd(self))
+	db, err := NewDatabase(store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return mk(0, 0xA), mk(1, 0xB)
+	db.Causes().SetNode(node)
+	if err := db.Register(newDocClass()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableSharding(evenOdd(self)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
 }
 
 func TestShardOIDFilterPartitionsAllocation(t *testing.T) {
@@ -366,5 +372,69 @@ func TestShardDisabledErrors(t *testing.T) {
 	}
 	if err := db.TrimOutbox([]uint64{1}); !errors.Is(err, ErrShardingDisabled) {
 		t.Fatalf("got %v, want ErrShardingDisabled", err)
+	}
+}
+
+// reserveGate is a storage decorator whose armed ReserveOID call blocks
+// until release is closed, signalling entered first.
+type reserveGate struct {
+	*dali.Manager
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *reserveGate) ReserveOID() (storage.OID, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Manager.ReserveOID()
+}
+
+// TestShardCaptureSeqRegisteredBeforeReserve pins the capture ordering
+// that exactly-once delivery rests on: a capture's seq must be pending
+// from the moment it is taken. Capture 1 takes the lower seq and then
+// blocks reserving its record's OID; capture 2 takes a higher seq and
+// commits meanwhile. If capture 1's seq were not yet pending, the
+// outbox would settle capture 2 first, the receiver's watermark would
+// pass capture 1's seq, and ingest would drop it as a duplicate.
+func TestShardCaptureSeqRegisteredBeforeReserve(t *testing.T) {
+	_, b := newShardPair(t)
+	target := mkDoc(t, b)
+
+	gate := &reserveGate{Manager: dali.New(), entered: make(chan struct{}), release: make(chan struct{})}
+	a := newShard(t, gate, 0, 0xA)
+	gate.armed.Store(true)
+	first := make(chan error, 1)
+	go func() {
+		tx := a.Begin()
+		if err := a.PostUserEvent(tx, RefFromOID(target.OID()), "Flag"); err != nil {
+			tx.Abort()
+			first <- err
+			return
+		}
+		first <- tx.Commit()
+	}()
+	<-gate.entered
+
+	tx2 := a.Begin()
+	if err := a.PostUserEvent(tx2, RefFromOID(target.OID()), "Flag"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if out := a.SettledOutbox(); len(out) != 0 {
+		t.Errorf("outbox settled seq %d while a lower-seq capture was still reserving its record", out[0].Seq)
+	}
+
+	close(gate.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	out := a.SettledOutbox()
+	if len(out) != 2 || out[0].Seq >= out[1].Seq {
+		t.Fatalf("settled outbox after both commits: %+v, want two entries in seq order", out)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"ode/internal/core"
 	"ode/internal/server"
@@ -44,79 +42,99 @@ func (r *Runner) E16() Result {
 	// Group-commit coalescing needs a moment to reach steady state (the
 	// committers must overlap in the durability wait), so E16 keeps a
 	// higher quick-mode floor than scale() gives and warms each store up
-	// with an untimed round before measuring.
+	// before measuring.
 	perCommitter := 4000
 	if r.Cfg.Quick {
 		perCommitter = 2000
 	}
+	const rounds = 5
 
-	// runStore drives c committers, each ApplyCommit-ing small batches on
-	// its own OID (disjoint objects: concurrency control above the
-	// storage seam serializes conflicting access).
-	runStore := func(m storage.Manager, c int) (commitsPerSec float64) {
-		oids := make([]storage.OID, c)
-		for i := range oids {
+	// committers holds c committers' private OIDs on m (disjoint
+	// objects: concurrency control above the storage seam serializes
+	// conflicting access). n is each committer's total commits.
+	type committers struct {
+		m    storage.Manager
+		oids []storage.OID
+		n    int
+	}
+	newCommitters := func(m storage.Manager, c int) *committers {
+		cs := &committers{m: m, oids: make([]storage.OID, c), n: perCommitter}
+		if c == 1 {
+			cs.n *= 4 // enough work for a stable single-committer baseline
+		}
+		for i := range cs.oids {
 			oid, err := m.ReserveOID()
 			if err != nil {
 				panic(err)
 			}
-			oids[i] = oid
+			cs.oids[i] = oid
 		}
-		n := perCommitter
-		if c == 1 {
-			n *= 4 // enough work for a stable single-committer baseline
-		}
-		var txnSeq atomic.Uint64
-		drive := func(iters int) time.Duration {
-			var wg sync.WaitGroup
-			gate := make(chan struct{})
-			for w := 0; w < c; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					<-gate
-					payload := make([]byte, 64)
-					for i := 0; i < iters; i++ {
-						ops := []storage.Op{{Kind: storage.OpWrite, OID: oids[w], Data: payload}}
-						if err := m.ApplyCommit(txnSeq.Add(1), ops); err != nil {
-							panic(err)
-						}
-					}
-				}(w)
+		return cs
+	}
+	var txnSeq atomic.Uint64
+	// drive runs iters ApplyCommit calls per committer and returns
+	// commits/s.
+	drive := func(cs *committers, iters int) (float64, error) {
+		elapsed, err := fanOut(len(cs.oids), func(w int) error {
+			payload := make([]byte, 64)
+			for i := 0; i < iters; i++ {
+				ops := []storage.Op{{Kind: storage.OpWrite, OID: cs.oids[w], Data: payload}}
+				if err := cs.m.ApplyCommit(txnSeq.Add(1), ops); err != nil {
+					return err
+				}
 			}
-			start := time.Now()
-			close(gate)
-			wg.Wait()
-			return time.Since(start)
-		}
-		drive(n / 10) // untimed warmup: reach steady-state coalescing
-		elapsed := drive(n)
-		return float64(c*n) / elapsed.Seconds()
+			return nil
+		})
+		return float64(len(cs.oids)*iters) / elapsed.Seconds(), err
 	}
 
-	fmt.Fprintf(r.W, "%-12s %14s %14s %10s %12s %12s\n",
-		"committers", "eos commits/s", "dali commits/s", "fsyncs", "batch avg", "batch max")
-	eosRates := map[int]float64{}
-	for _, c := range counts {
+	// The eos arms — one store per committer count — run as paired
+	// rounds; each committer's work is split evenly over the rounds.
+	stores := make([]*eos.Manager, len(counts))
+	arms := make([]*committers, len(counts))
+	for i, c := range counts {
 		e, err := eos.Open(filepath.Join(dir, fmt.Sprintf("e16-%d.eos", c)), eos.Options{NoAutoCheckpoint: true})
 		if err != nil {
 			res.Summary = err.Error()
 			return res
 		}
-		eosRates[c] = runStore(e, c)
-		st := e.Stats()
-		e.Close()
+		defer e.Close()
+		stores[i], arms[i] = e, newCommitters(e, c)
+	}
+	rs, err := pairedRounds(rounds, len(counts), func(arm int, warm bool) (float64, error) {
+		cs := arms[arm]
+		if warm {
+			return drive(cs, cs.n/10)
+		}
+		return drive(cs, cs.n/rounds)
+	})
+	if err != nil {
+		res.Summary = err.Error()
+		return res
+	}
 
+	fmt.Fprintf(r.W, "%-12s %14s %14s %10s %12s %12s\n",
+		"committers", "eos commits/s", "dali commits/s", "fsyncs", "batch avg", "batch max")
+	for i, c := range counts {
+		// dali has no durability wait: its column is the ceiling, one
+		// warmed-up run per count.
 		d := dali.New()
-		daliRate := runStore(d, c)
+		cs := newCommitters(d, c)
+		drive(cs, cs.n/10)
+		daliRate, err := drive(cs, cs.n)
 		d.Close()
+		if err != nil {
+			res.Summary = err.Error()
+			return res
+		}
 
+		st := stores[i].Stats()
 		avg := 0.0
 		if st.Fsyncs > 0 {
 			avg = float64(st.GroupCommits) / float64(st.Fsyncs)
 		}
 		fmt.Fprintf(r.W, "%-12d %14.0f %14.0f %10d %12.1f %12d\n",
-			c, eosRates[c], daliRate, st.Fsyncs, avg, st.BatchMax)
+			c, rs.median(i), daliRate, st.Fsyncs, avg, st.BatchMax)
 	}
 
 	// End-to-end: the same concurrency through ode-server's wire protocol
@@ -128,10 +146,11 @@ func (r *Runner) E16() Result {
 	}
 	fmt.Fprintf(r.W, "ode-server, 16 concurrent clients over eos: %.0f txn/s\n", serverRate)
 
-	speedup := eosRates[16] / eosRates[1]
+	speedup, noise := rs.ratio(2) // counts[2] == 16
 	res.Passed = speedup >= 3
-	res.Summary = fmt.Sprintf("eos commit throughput %.1fx at 16 committers vs 1 (group commit); server %d-client load %.0f txn/s",
-		speedup, 16, serverRate)
+	res.Metrics = map[string]float64{"ratio/committers=16": speedup}
+	res.Summary = fmt.Sprintf("eos commit throughput %.1fx at 16 committers vs 1 (group commit, noise floor %.2fx); server %d-client load %.0f txn/s",
+		speedup, noise, 16, serverRate)
 	return res
 }
 
@@ -186,39 +205,20 @@ func (r *Runner) e16Server(path string, clients, perOps int) (txnPerSec float64,
 		defer conns[i].Close()
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	gate := make(chan struct{})
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-gate
-			c := conns[w]
-			for i := 0; i < perOps; i++ {
-				if err := c.Begin(); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := c.Invoke(refs[w], "Buy", 1.0); err != nil {
-					errs <- err
-					return
-				}
-				if err := c.Commit(); err != nil {
-					errs <- err
-					return
-				}
+	elapsed, err := fanOut(clients, func(w int) error {
+		c := conns[w]
+		for i := 0; i < perOps; i++ {
+			if err := c.Begin(); err != nil {
+				return err
 			}
-		}(w)
-	}
-	close(gate)
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errs:
-		return 0, err
-	default:
-	}
-	return float64(clients*perOps) / elapsed.Seconds(), nil
+			if _, err := c.Invoke(refs[w], "Buy", 1.0); err != nil {
+				return err
+			}
+			if err := c.Commit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return float64(clients*perOps) / elapsed.Seconds(), err
 }

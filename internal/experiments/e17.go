@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -133,30 +132,21 @@ func e17Throughput(m storage.Manager, committers, perOps int, lastAcked *[8]int6
 	}
 	var txnSeq atomic.Uint64
 	var total atomic.Int64
-	var wg sync.WaitGroup
-	gate := make(chan struct{})
-	start := time.Now()
-	for w := 0; w < committers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-gate
-			for i := 1; i <= perOps; i++ {
-				data := []byte(fmt.Sprintf("w%d-i%d", w, i))
-				ops := []storage.Op{{Kind: storage.OpWrite, OID: oids[w], Data: data}}
-				if err := m.ApplyCommit(txnSeq.Add(1), ops); err != nil {
-					continue // injected failure: not acknowledged
-				}
-				total.Add(1)
-				if lastAcked != nil {
-					atomic.StoreInt64(&lastAcked[w], int64(i))
-				}
+	elapsed, _ := fanOut(committers, func(w int) error {
+		for i := 1; i <= perOps; i++ {
+			data := []byte(fmt.Sprintf("w%d-i%d", w, i))
+			ops := []storage.Op{{Kind: storage.OpWrite, OID: oids[w], Data: data}}
+			if err := m.ApplyCommit(txnSeq.Add(1), ops); err != nil {
+				continue // injected failure: not acknowledged
 			}
-		}(w)
-	}
-	close(gate)
-	wg.Wait()
-	return float64(total.Load()) / time.Since(start).Seconds(), total.Load()
+			total.Add(1)
+			if lastAcked != nil {
+				atomic.StoreInt64(&lastAcked[w], int64(i))
+			}
+		}
+		return nil
+	})
+	return float64(total.Load()) / elapsed.Seconds(), total.Load()
 }
 
 // e17VerifyRecovery reopens the crashed store and checks that each
@@ -262,22 +252,17 @@ func (r *Runner) e17Detached(path string, rounds int) (*e17DetachedResult, error
 
 	var committed atomic.Int64
 	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				tx := db.Begin()
-				if _, err := db.Invoke(tx, pokeRefs[i], "Poke"); err != nil {
-					tx.Abort()
-					return
-				}
-				if tx.Commit() == nil {
-					committed.Add(1)
-				}
-			}(i)
-		}
-		wg.Wait()
+		fanOut(2, func(i int) error {
+			tx := db.Begin()
+			if _, err := db.Invoke(tx, pokeRefs[i], "Poke"); err != nil {
+				tx.Abort()
+				return nil
+			}
+			if tx.Commit() == nil {
+				committed.Add(1)
+			}
+			return nil
+		})
 	}
 
 	st := db.Stats()

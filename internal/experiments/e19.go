@@ -64,19 +64,21 @@ func (r *Runner) E19() Result {
 	}
 
 	// --- part 2: read throughput with 0/1/2 replicas -----------------------
-	aggs, err := e19ReadScale(filepath.Join(dir, "e19-read"), r)
+	reads, err := e19ReadScale(filepath.Join(dir, "e19-read"), r)
 	if err != nil {
 		res.Summary = err.Error()
 		return res
 	}
 	// Spreading the same readers over more nodes must not collapse
 	// throughput; the margin absorbs scheduler noise in quick mode.
-	scaled := aggs[2] >= 0.8*aggs[0]
+	speedup, _ := reads.ratio(2)
+	scaled := speedup >= 0.8
 
 	res.Passed = converged && scaled
 	res.Summary = fmt.Sprintf(
 		"replica drained to lag 0 and matched the primary byte-for-byte at 1/4/16 committers (converged=%v); reads 1→3 nodes: %.0f → %.0f/s (×%.2f)",
-		converged, aggs[0], aggs[2], aggs[2]/aggs[0])
+		converged, reads.median(0), reads.median(2), speedup)
+	res.Metrics = map[string]float64{"ratio/nodes=3": speedup}
 	return res
 }
 
@@ -217,31 +219,20 @@ func e19LagRow(dir string, committers, totalOps int) (*e19Lag, error) {
 	if per < 1 {
 		per = 1
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, committers)
-	for w := 0; w < committers; w++ {
-		wg.Add(1)
-		go func(ref core.Ref) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tx := p.db.Begin()
-				if _, err := p.db.Invoke(tx, ref, "Buy", 1.0); err != nil {
-					tx.Abort()
-					errs <- err
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					errs <- err
-					return
-				}
+	elapsed, err := fanOut(committers, func(w int) error {
+		for i := 0; i < per; i++ {
+			tx := p.db.Begin()
+			if _, err := p.db.Invoke(tx, refs[w], "Buy", 1.0); err != nil {
+				tx.Abort()
+				return err
 			}
-		}(refs[w])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
+			if err := tx.Commit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -309,15 +300,14 @@ func e19SameBytes(pm *eos.Manager, rep *repl.Replica) (bool, error) {
 
 // e19ReadScale measures aggregate read throughput with the same reader
 // population spread over 1, 2, and 3 serving nodes (primary + 0/1/2
-// replicas). Returns reads/s indexed by replica count.
-func e19ReadScale(dir string, r *Runner) ([3]float64, error) {
-	var aggs [3]float64
+// replicas); arm i of the returned rounds serves from i+1 nodes.
+func e19ReadScale(dir string, r *Runner) (*rounds, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return aggs, err
+		return nil, err
 	}
 	p, err := e19StartPrimary(filepath.Join(dir, "p.eos"))
 	if err != nil {
-		return aggs, err
+		return nil, err
 	}
 	defer p.close()
 
@@ -325,7 +315,7 @@ func e19ReadScale(dir string, r *Runner) ([3]float64, error) {
 	refs := make([]core.Ref, cards)
 	for i := range refs {
 		if refs[i], err = mustCard(p.db, 1000); err != nil {
-			return aggs, err
+			return nil, err
 		}
 	}
 
@@ -333,7 +323,7 @@ func e19ReadScale(dir string, r *Runner) ([3]float64, error) {
 	for i := 0; i < 2; i++ {
 		rep, rdb, err := e19StartReplica(filepath.Join(dir, fmt.Sprintf("r%d.eos", i)), p.addr)
 		if err != nil {
-			return aggs, err
+			return nil, err
 		}
 		defer rdb.Close()
 		defer rep.Stop()
@@ -345,43 +335,39 @@ func e19ReadScale(dir string, r *Runner) ([3]float64, error) {
 	v, err := nodes[2].Get(rt, refs[0])
 	rt.Abort()
 	if err != nil {
-		return aggs, err
+		return nil, err
 	}
 	if v.(*CredCard).CredLim != 1000 {
-		return aggs, fmt.Errorf("e19: replica read CredLim %v, want 1000", v.(*CredCard).CredLim)
+		return nil, fmt.Errorf("e19: replica read CredLim %v, want 1000", v.(*CredCard).CredLim)
 	}
 
-	const readers = 8
-	perReader := r.Cfg.scale(4000)
-	fmt.Fprintf(r.W, "\n%-9s %6s %12s %8s\n", "replicas", "nodes", "reads/s", "speedup")
-	for nRepl := 0; nRepl <= 2; nRepl++ {
-		serving := nodes[:nRepl+1]
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, readers)
-		for j := 0; j < readers; j++ {
-			wg.Add(1)
-			go func(db *core.Database, j int) {
-				defer wg.Done()
-				for i := 0; i < perReader; i++ {
-					tx := db.Begin()
-					if _, err := db.Get(tx, refs[(j+i)%cards]); err != nil {
-						tx.Abort()
-						errs <- err
-						return
-					}
-					tx.Abort()
+	// The three serving sets are the arms of paired rounds over the same
+	// nodes; each reader's work is split evenly over the rounds.
+	const readers, rounds = 8, 5
+	perReader := r.Cfg.scale(4000) / rounds
+	rs, err := pairedRounds(rounds, 3, func(arm int, warm bool) (float64, error) {
+		serving := nodes[:arm+1]
+		elapsed, err := fanOut(readers, func(j int) error {
+			db := serving[j%len(serving)]
+			for i := 0; i < perReader; i++ {
+				tx := db.Begin()
+				_, err := db.Get(tx, refs[(j+i)%cards])
+				tx.Abort()
+				if err != nil {
+					return err
 				}
-			}(serving[j%len(serving)], j)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			return aggs, err
-		}
-		aggs[nRepl] = float64(readers*perReader) / time.Since(start).Seconds()
-		fmt.Fprintf(r.W, "%-9d %6d %12.0f %8.2f\n",
-			nRepl, nRepl+1, aggs[nRepl], aggs[nRepl]/aggs[0])
+			}
+			return nil
+		})
+		return float64(readers*perReader) / elapsed.Seconds(), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return aggs, nil
+	fmt.Fprintf(r.W, "\n%-9s %6s %12s %8s %8s\n", "replicas", "nodes", "reads/s", "speedup", "noise")
+	for arm := range nodes {
+		speedup, noise := rs.ratio(arm)
+		fmt.Fprintf(r.W, "%-9d %6d %12.0f %8.2f %8.2f\n", arm, arm+1, rs.median(arm), speedup, noise)
+	}
+	return rs, nil
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"ode/internal/core"
@@ -94,144 +91,76 @@ func (r *Runner) E20() Result {
 	}
 
 	drive := func(iters int) (time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, committers)
-		gate := make(chan struct{})
-		for w := 0; w < committers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				<-gate
-				for i := 0; i < iters; i++ {
-					tx := db.Begin()
-					if _, err := db.Invoke(tx, refs[w], "Buy", 1.0); err != nil {
-						tx.Abort()
-						errs <- err
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						errs <- err
-						return
-					}
+		return fanOut(committers, func(w int) error {
+			for i := 0; i < iters; i++ {
+				tx := db.Begin()
+				if _, err := db.Invoke(tx, refs[w], "Buy", 1.0); err != nil {
+					tx.Abort()
+					return err
 				}
-			}(w)
-		}
-		start := time.Now()
-		close(gate)
-		wg.Wait()
-		elapsed := time.Since(start)
-		select {
-		case err := <-errs:
-			return 0, err
-		default:
-		}
-		return elapsed, nil
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 
 	defer obs.Flight().SetEnabled(true)
 	mgr := db.Store().(*eos.Manager)
 
-	// segment runs one timed configuration. The forced GC keeps
-	// collection cycles out of the timed region: when the suite runs in
-	// one process, the heap debris of 19 prior experiments makes
-	// mid-segment GC pauses the dominant noise term.
-	var fsyncsOn, fsyncsOff, logOn, logOff, commitsOn, commitsOff uint64
-	segment := func(provenance bool, iters int) (time.Duration, error) {
-		db.SetProvenance(provenance)
-		obs.Flight().SetEnabled(provenance)
-		runtime.GC()
+	// Both arms run on the SAME store — provenance is toggled between
+	// segments — so there is no second file or database instance whose
+	// one-time disk-allocation or memory-layout luck could bias a whole
+	// run. Arm 0 is provenance off, arm 1 on; a segment's figure is its
+	// elapsed time, so the round ratio is on/off elapsed.
+	const rounds = 9
+	var fsyncs, logBytes, commits [2]uint64
+	rs, err := pairedRounds(rounds, 2, func(arm int, warm bool) (float64, error) {
+		on := arm == 1
+		db.SetProvenance(on)
+		obs.Flight().SetEnabled(on)
+		iters := per
+		if warm {
+			iters = per / 10
+		}
 		before := mgr.Stats()
 		e, err := drive(iters)
 		after := mgr.Stats()
-		if provenance {
-			fsyncsOn += after.Fsyncs - before.Fsyncs
-			logOn += after.LogBytes - before.LogBytes
-			commitsOn += uint64(committers * iters)
-		} else {
-			fsyncsOff += after.Fsyncs - before.Fsyncs
-			logOff += after.LogBytes - before.LogBytes
-			commitsOff += uint64(committers * iters)
+		if !warm {
+			fsyncs[arm] += after.Fsyncs - before.Fsyncs
+			logBytes[arm] += after.LogBytes - before.LogBytes
+			commits[arm] += uint64(committers * iters)
 		}
-		return e, err
-	}
-	if _, err := segment(true, per/10); err != nil { // warmup
+		return e.Seconds(), err
+	})
+	if err != nil {
 		res.Summary = err.Error()
 		return res
 	}
-	if _, err := segment(false, per/10); err != nil {
-		res.Summary = err.Error()
-		return res
-	}
-	fsyncsOn, fsyncsOff, logOn, logOff, commitsOn, commitsOff = 0, 0, 0, 0, 0, 0
-
-	// Both configurations run on the SAME store — provenance is toggled
-	// between segments — so there is no second file or database instance
-	// whose one-time disk-allocation or memory-layout luck could bias a
-	// whole run. Each round runs the two configurations back to back
-	// (order alternating) and contributes one elapsed ratio; machine
-	// drift — in the full suite, mostly the kernel writing back what
-	// earlier experiments left dirty — moves on a scale of seconds, so
-	// the two halves of a round share it and their ratio cancels it. The
-	// median over rounds then discards rounds where a straggler hit one
-	// half only.
-	const rounds = 9
-	var bestOn, bestOff time.Duration
-	ratios := make([]float64, 0, rounds)
-	for k := 0; k < rounds; k++ {
-		var eOn, eOff time.Duration
-		for _, provenance := range []bool{k%2 == 0, k%2 != 0} {
-			e, err := segment(provenance, per)
-			if err != nil {
-				res.Summary = err.Error()
-				return res
-			}
-			if provenance {
-				eOn = e
-			} else {
-				eOff = e
-			}
-		}
-		ratios = append(ratios, eOn.Seconds()/eOff.Seconds())
-		if bestOn == 0 || eOn < bestOn {
-			bestOn = eOn
-		}
-		if bestOff == 0 || eOff < bestOff {
-			bestOff = eOff
-		}
-	}
-	on := float64(committers*per) / bestOn.Seconds()
-	off := float64(committers*per) / bestOff.Seconds()
-
-	sort.Float64s(ratios)
-	median := ratios[len(ratios)/2]
+	off := float64(committers*per) / rs.median(0)
+	on := float64(committers*per) / rs.median(1)
+	median, noise := rs.ratio(1)
 	overhead := median - 1
 	if overhead < 0 {
 		overhead = 0 // within noise: provenance segments were faster
 	}
-	// The run's own noise floor: the median absolute deviation of the
-	// round ratios. Identical configurations measured on this host in
-	// this process differ by this much round to round, so an overhead
-	// below it is not resolvable — the bar is 2% above it. On a quiet
-	// host the floor is a fraction of a percent and the bar is ~2%.
-	devs := make([]float64, len(ratios))
-	for i, q := range ratios {
-		devs[i] = q - median
-		if devs[i] < 0 {
-			devs[i] = -devs[i]
-		}
-	}
-	sort.Float64s(devs)
-	noise := devs[len(devs)/2]
+	walOn := float64(logBytes[1]) / float64(commits[1])
+	walOff := float64(logBytes[0]) / float64(commits[0])
 	fmt.Fprintf(r.W, "%-34s %14s %10s %16s\n",
 		"configuration", "commits/s", "fsyncs", "log bytes/commit")
 	fmt.Fprintf(r.W, "%-34s %14.0f %10d %16.1f\n",
-		"provenance + flight ON (default)", on, fsyncsOn, float64(logOn)/float64(commitsOn))
+		"provenance + flight ON (default)", on, fsyncs[1], walOn)
 	fmt.Fprintf(r.W, "%-34s %14.0f %10d %16.1f\n",
-		"provenance + flight OFF", off, fsyncsOff, float64(logOff)/float64(commitsOff))
+		"provenance + flight OFF", off, fsyncs[0], walOff)
 	fmt.Fprintf(r.W, "overhead: %.2f%% (round-ratio noise floor %.2f%%)\n", overhead*100, noise*100)
 
+	// An overhead below the round-ratio noise floor is not resolvable
+	// on this host, so the bar is 2% above it. On a quiet host the
+	// floor is a fraction of a percent and the bar is ~2%.
 	res.Passed = overhead <= 0.02+noise
+	res.Metrics = map[string]float64{"ratio/provenance_elapsed": median}
 	res.Summary = fmt.Sprintf("provenance+flight overhead %.2f%% (noise floor %.2f%%) on %d-committer eos commits (%.0f vs %.0f commits/s, +%.1f WAL B/commit)",
-		overhead*100, noise*100, committers, on, off, float64(logOn)/float64(commitsOn)-float64(logOff)/float64(commitsOff))
+		overhead*100, noise*100, committers, on, off, walOn-walOff)
 	return res
 }

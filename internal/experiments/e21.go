@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,26 +42,6 @@ const (
 	e21Snapshot                // triggers active, snapshot readers: the MVCC remedy
 )
 
-func (m e21Mode) String() string {
-	switch m {
-	case e21Baseline:
-		return "baseline"
-	case e21Legacy:
-		return "2pl+trig"
-	default:
-		return "snapshot"
-	}
-}
-
-// e21Cell is one measured grid cell.
-type e21Cell struct {
-	qps          float64 // reader queries/sec
-	readerAborts uint64  // reader transactions that rolled back (deadlock victims etc.)
-	waits        uint64  // lock-manager waits, all participants
-	deadlocks    uint64  // lock-manager deadlock victims, all participants
-	snapReads    uint64  // reads served from a pinned snapshot
-}
-
 // E21 measures the MVCC snapshot-read remedy for the §6 lock
 // amplification E8 demonstrates: with triggers active, lock-mode
 // readers collapse (every Query writes the trigger descriptor), while
@@ -78,17 +57,27 @@ func (r *Runner) E21() Result {
 	writerGrid := []int{0, 1, 8}
 	dur := 120 * time.Millisecond
 	if r.Cfg.Quick {
-		readerGrid = []int{1, 8}
+		readerGrid = []int{1, 8, 64}
 		writerGrid = []int{0, 2}
 		dur = 40 * time.Millisecond
 	}
+	// Each cell's three modes are the arms of paired rounds, each on its
+	// own database; a mode's run time is split evenly over the rounds.
+	const rounds = 9
 
-	run := func(m e21Mode, readers, writers int) e21Cell {
+	// arm is one mode's database in a grid cell. seg runs its readers
+	// and writers for d and returns reader queries/s; aborts counts
+	// reader transactions that rolled back (deadlock victims etc.).
+	type arm struct {
+		db     *core.Database
+		seg    func(d time.Duration) (float64, error)
+		aborts atomic.Uint64
+	}
+	newArm := func(m e21Mode, readers, writers int) *arm {
 		db, err := core.NewDatabase(dali.New())
 		if err != nil {
 			panic(err)
 		}
-		defer db.Close()
 		if err := db.Register(snapCardClass()); err != nil {
 			panic(err)
 		}
@@ -111,94 +100,88 @@ func (r *Runner) E21() Result {
 		}
 		db.Locks().ResetStats()
 
-		var stop atomic.Bool
-		var ops, aborts atomic.Uint64
-		gate := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < readers; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rnd := rand.New(rand.NewSource(seed))
-				<-gate
+		a := &arm{db: db}
+		a.seg = func(d time.Duration) (float64, error) {
+			var stop atomic.Bool
+			var ops atomic.Uint64
+			time.AfterFunc(d, func() { stop.Store(true) })
+			elapsed, err := fanOut(readers+writers, func(w int) error {
+				rnd := rand.New(rand.NewSource(int64(w)))
 				for !stop.Load() {
+					if w >= readers { // writer: deadlock victims just retry
+						wtx := db.Begin()
+						if _, err := db.Invoke(wtx, refs[rnd.Intn(cards)], "Buy", 1.0); err != nil {
+							wtx.Abort()
+							continue
+						}
+						_ = wtx.Commit()
+						continue
+					}
 					var rtx *txn.Txn
 					var err error
 					if m == e21Snapshot {
 						if rtx, err = db.BeginSnapshot(); err != nil {
-							panic(err)
+							return err
 						}
 					} else {
 						rtx = db.Begin()
 					}
 					if _, err = db.Invoke(rtx, refs[rnd.Intn(cards)], "Query"); err != nil {
 						rtx.Abort()
-						aborts.Add(1)
+						a.aborts.Add(1)
 						continue
 					}
 					if err := rtx.Commit(); err != nil {
-						aborts.Add(1)
+						a.aborts.Add(1)
 						continue
 					}
 					ops.Add(1)
 				}
-			}(int64(w))
+				return nil
+			})
+			return float64(ops.Load()) / elapsed.Seconds(), err
 		}
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rnd := rand.New(rand.NewSource(1000 + seed))
-				<-gate
-				for !stop.Load() {
-					wtx := db.Begin()
-					if _, err := db.Invoke(wtx, refs[rnd.Intn(cards)], "Buy", 1.0); err != nil {
-						wtx.Abort()
-						continue
-					}
-					_ = wtx.Commit() // writer deadlocks just retry
-				}
-			}(int64(w))
-		}
-		start := time.Now()
-		close(gate)
-		time.Sleep(dur)
-		stop.Store(true)
-		wg.Wait()
-		elapsed := time.Since(start)
-		lst := db.Locks().Stats()
-		return e21Cell{
-			qps:          float64(ops.Load()) / elapsed.Seconds(),
-			readerAborts: aborts.Load(),
-			waits:        lst.Waits,
-			deadlocks:    lst.Deadlocks,
-			snapReads:    db.Txns().Stats().SnapshotReads,
-		}
+		return a
 	}
 
 	fmt.Fprintf(r.W, "%-8s %-8s %14s %14s %14s %8s %12s\n",
 		"readers", "writers", "baseline q/s", "2pl+trig q/s", "snapshot q/s", "snap/base", "rdr aborts")
 	worstRatio := 1e18
 	var snapAborts, idleWaits, idleDeadlocks, snapReadsTotal uint64
+	res.Metrics = map[string]float64{}
 	for _, readers := range readerGrid {
 		for _, writers := range writerGrid {
-			base := run(e21Baseline, readers, writers)
-			legacy := run(e21Legacy, readers, writers)
-			snap := run(e21Snapshot, readers, writers)
-			ratio := snap.qps / base.qps
+			arms := []*arm{newArm(e21Baseline, readers, writers), newArm(e21Legacy, readers, writers), newArm(e21Snapshot, readers, writers)}
+			rs, err := pairedRounds(rounds, len(arms), func(i int, warm bool) (float64, error) {
+				if warm {
+					return arms[i].seg(dur / rounds / 4)
+				}
+				return arms[i].seg(dur / rounds)
+			})
+			snap := arms[2]
+			locks, aborts := snap.db.Locks().Stats(), snap.aborts.Load()
+			snapReadsTotal += snap.db.Txns().Stats().SnapshotReads
+			for _, a := range arms {
+				a.db.Close()
+			}
+			if err != nil {
+				res.Summary = err.Error()
+				return res
+			}
+			ratio, _ := rs.ratio(2)
 			if ratio < worstRatio {
 				worstRatio = ratio
 			}
-			snapAborts += snap.readerAborts
-			snapReadsTotal += snap.snapReads
+			snapAborts += aborts
 			if writers == 0 {
 				// With no writers, snapshot-mode lock traffic must be
 				// exactly zero: readers never touch the lock manager.
-				idleWaits += snap.waits
-				idleDeadlocks += snap.deadlocks
+				idleWaits += locks.Waits
+				idleDeadlocks += locks.Deadlocks
+				res.Metrics[fmt.Sprintf("ratio/readers=%d", readers)] = ratio
 			}
 			fmt.Fprintf(r.W, "%-8d %-8d %14.0f %14.0f %14.0f %8.2f %12d\n",
-				readers, writers, base.qps, legacy.qps, snap.qps, ratio, snap.readerAborts)
+				readers, writers, rs.median(0), rs.median(1), rs.median(2), ratio, aborts)
 		}
 	}
 	res.Passed = worstRatio >= 0.5 && snapAborts == 0 && idleWaits == 0 && idleDeadlocks == 0 && snapReadsTotal > 0

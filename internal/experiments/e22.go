@@ -20,21 +20,21 @@ import (
 // snapshot bootstrap pays O(database) no matter how little changed. The
 // measured quantity is downstream bytes on the wire, counted by a
 // wrapper on the replica's dial, which is machine-independent: the
-// ratio snapshot/rejoin is what the BENCH_antientropy.json gate tracks.
+// snapshot/rejoin ratios are the Metrics that BENCH.json's antientropy
+// section gates.
 
-// AntiEntropyPoint is one measured drift level.
-type AntiEntropyPoint struct {
+// antiEntropyPoint is one measured drift level.
+type antiEntropyPoint struct {
 	Fraction    float64 // fraction of objects mutated since the replica left
 	Objects     int     // objects that fraction works out to
 	RejoinBytes int64   // downstream bytes to converge via reconciliation
 }
 
-// AntiEntropyMeasurement is the E22 data set, shared with the
-// benchmark that regenerates BENCH_antientropy.json.
-type AntiEntropyMeasurement struct {
+// antiEntropyMeasurement is the E22 data set.
+type antiEntropyMeasurement struct {
 	Objects       int
 	SnapshotBytes int64 // downstream bytes for a fresh snapshot bootstrap
-	Points        []AntiEntropyPoint
+	Points        []antiEntropyPoint
 }
 
 // countingDial returns a repl dial hook that counts downstream bytes
@@ -122,12 +122,12 @@ func e22Session(path, addr string, pm *eos.Manager, bytes *atomic.Int64) (int64,
 	return total, err
 }
 
-// MeasureAntiEntropy loads a primary with the given number of objects,
+// measureAntiEntropy loads a primary with the given number of objects,
 // measures the downstream bytes of a fresh snapshot bootstrap, then for
 // each drift fraction (ascending) mutates the primary up to that
 // cumulative fraction, truncates its log, and measures the bytes an
 // out-of-retained-log replica needs to reconcile back.
-func MeasureAntiEntropy(dir string, objects int, drifts []float64) (*AntiEntropyMeasurement, error) {
+func measureAntiEntropy(dir string, objects int, drifts []float64) (*antiEntropyMeasurement, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func MeasureAntiEntropy(dir string, objects int, drifts []float64) (*AntiEntropy
 	}
 
 	var wire atomic.Int64
-	m := &AntiEntropyMeasurement{Objects: objects}
+	m := &antiEntropyMeasurement{Objects: objects}
 	bootPath := filepath.Join(dir, "boot.eos")
 	if m.SnapshotBytes, err = e22Session(bootPath, addr, pm, &wire); err != nil {
 		return nil, fmt.Errorf("snapshot bootstrap: %w", err)
@@ -210,7 +210,7 @@ func MeasureAntiEntropy(dir string, objects int, drifts []float64) (*AntiEntropy
 		if err != nil {
 			return nil, fmt.Errorf("rejoin at %.3f drift: %w", frac, err)
 		}
-		m.Points = append(m.Points, AntiEntropyPoint{Fraction: frac, Objects: mutated, RejoinBytes: bytes})
+		m.Points = append(m.Points, antiEntropyPoint{Fraction: frac, Objects: mutated, RejoinBytes: bytes})
 	}
 	return m, nil
 }
@@ -241,7 +241,7 @@ func (r *Runner) E22() Result {
 		}
 		defer os.RemoveAll(dir)
 	}
-	m, err := MeasureAntiEntropy(filepath.Join(dir, "e22"), objects, drifts)
+	m, err := measureAntiEntropy(filepath.Join(dir, "e22"), objects, drifts)
 	if err != nil {
 		res.Summary = err.Error()
 		return res
@@ -252,8 +252,10 @@ func (r *Runner) E22() Result {
 	monotone := true
 	var prev int64
 	lowRatio := 0.0
+	res.Metrics = map[string]float64{}
 	for i, p := range m.Points {
 		ratio := float64(m.SnapshotBytes) / float64(p.RejoinBytes)
+		res.Metrics[fmt.Sprintf("ratio/drift=%g", p.Fraction)] = ratio
 		if i == 0 {
 			lowRatio = ratio
 		}

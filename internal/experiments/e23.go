@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ode/internal/server"
@@ -40,24 +39,36 @@ import (
 // server's per-connection queue depth.
 const e23Window = 64
 
-// WireEnv is one running server plus per-client cards, shared by the E23
-// measurement functions and BenchmarkE23Wire.
-type WireEnv struct {
+// sessionRounds is how many paired rounds E23–E25 run; each session's
+// operations are split evenly over them.
+const sessionRounds = 5
+
+// e23Modes are the transports E23 compares; "json" is the reference arm.
+var e23Modes = []string{"json", "binary", "mux"}
+
+// endpoint is where E23–E25 clients connect: a server or router address
+// and one committed card per client.
+type endpoint struct {
+	addr string
+	refs []uint64
+}
+
+// wireEnv is one running server plus per-client cards.
+type wireEnv struct {
+	endpoint
 	srv   *server.Server
 	dbcls func()
-	Addr  string
-	Refs  []uint64
 }
 
 // Close shuts the server and database down.
-func (e *WireEnv) Close() {
+func (e *wireEnv) Close() {
 	e.srv.Close()
 	e.dbcls()
 }
 
-// NewWireEnv starts an in-process ode-server over the main-memory store
+// newWireEnv starts an in-process ode-server over the main-memory store
 // with one committed card per client.
-func NewWireEnv(clients int) (*WireEnv, error) {
+func newWireEnv(clients int) (*wireEnv, error) {
 	db, err := memDB()
 	if err != nil {
 		return nil, err
@@ -68,7 +79,7 @@ func NewWireEnv(clients int) (*WireEnv, error) {
 		db.Close()
 		return nil, err
 	}
-	env := &WireEnv{srv: srv, dbcls: func() { db.Close() }, Addr: addr}
+	env := &wireEnv{endpoint: endpoint{addr: addr}, srv: srv, dbcls: func() { db.Close() }}
 
 	setup, err := server.Dial(addr)
 	if err != nil {
@@ -80,9 +91,9 @@ func NewWireEnv(clients int) (*WireEnv, error) {
 		env.Close()
 		return nil, err
 	}
-	env.Refs = make([]uint64, clients)
-	for i := range env.Refs {
-		env.Refs[i], err = setup.Create("CredCard", &CredCard{Holder: "bench", CredLim: 1e12, GoodHist: true})
+	env.refs = make([]uint64, clients)
+	for i := range env.refs {
+		env.refs[i], err = setup.Create("CredCard", &CredCard{Holder: "bench", CredLim: 1e12, GoodHist: true})
 		if err != nil {
 			env.Close()
 			return nil, err
@@ -171,23 +182,23 @@ func (r *latencyRelay) pump(src, dst net.Conn) {
 	dst.Close()
 }
 
-// WithRTT returns a view of the environment reached through a latency
+// withRTT returns a view of the environment reached through a latency
 // relay adding rtt of round-trip delay; stop tears the relay down.
-func (e *WireEnv) WithRTT(rtt time.Duration) (*WireEnv, func(), error) {
-	relay, err := newLatencyRelay(e.Addr, rtt/2)
+func (e *wireEnv) withRTT(rtt time.Duration) (*wireEnv, func(), error) {
+	relay, err := newLatencyRelay(e.addr, rtt/2)
 	if err != nil {
 		return nil, nil, err
 	}
 	v := *e
-	v.Addr = relay.Addr
+	v.addr = relay.Addr
 	return &v, relay.Close, nil
 }
 
 // sessions opens one session per client on the requested transport:
 // "json" (a JSON-protocol Client), "binary" (a binary-protocol Client,
 // one connection each), or "mux" (MuxSessions sharing one connection).
-func (e *WireEnv) sessions(clients int, mode string) ([]server.Session, func(), error) {
-	out := make([]server.Session, clients)
+func (e *endpoint) sessions(mode string) ([]server.Session, func(), error) {
+	out := make([]server.Session, len(e.refs))
 	var closers []func()
 	cleanup := func() {
 		for _, fn := range closers {
@@ -198,7 +209,7 @@ func (e *WireEnv) sessions(clients int, mode string) ([]server.Session, func(), 
 	for i := range out {
 		switch mode {
 		case "json":
-			c, err := server.Dial(e.Addr)
+			c, err := server.Dial(e.addr)
 			if err != nil {
 				cleanup()
 				return nil, nil, err
@@ -206,7 +217,7 @@ func (e *WireEnv) sessions(clients int, mode string) ([]server.Session, func(), 
 			closers = append(closers, func() { c.Close() })
 			out[i] = c
 		case "binary":
-			c, err := server.DialOptions(e.Addr, server.ClientOptions{Binary: true})
+			c, err := server.DialOptions(e.addr, server.ClientOptions{Binary: true})
 			if err != nil {
 				cleanup()
 				return nil, nil, err
@@ -215,7 +226,7 @@ func (e *WireEnv) sessions(clients int, mode string) ([]server.Session, func(), 
 			out[i] = c
 		case "mux":
 			if mux == nil {
-				m, err := server.DialMux(e.Addr, server.ClientOptions{})
+				m, err := server.DialMux(e.addr, server.ClientOptions{})
 				if err != nil {
 					cleanup()
 					return nil, nil, err
@@ -232,41 +243,43 @@ func (e *WireEnv) sessions(clients int, mode string) ([]server.Session, func(), 
 	return out, cleanup, nil
 }
 
-// drive fans work out to one goroutine per session, gates the start,
-// and returns ops/s for clients*perOps operations.
+// pairedSessions runs paired rounds over arms, arm i on sessions opened
+// on eps[i] over transport modes[i] once, outside the timed segments.
+// Each session's n operations are split evenly over the rounds; seg
+// runs k of them on one arm and returns its figure.
+func pairedSessions(eps []*endpoint, modes []string, n int, seg func(arm int, ss []server.Session, k int) (float64, error)) (*rounds, error) {
+	arms := make([][]server.Session, len(eps))
+	for i, ep := range eps {
+		sessions, cleanup, err := ep.sessions(modes[i])
+		if err != nil {
+			return nil, err
+		}
+		defer cleanup()
+		arms[i] = sessions
+	}
+	return pairedRounds(sessionRounds, len(eps), func(arm int, warm bool) (float64, error) {
+		k := n / sessionRounds
+		if warm {
+			k = max(k/4, 1)
+		}
+		return seg(arm, arms[arm], k)
+	})
+}
+
+// drive runs work on every session at once and returns ops/s for
+// len(sessions)*perOps operations.
 func drive(sessions []server.Session, perOps int, work func(s server.Session, w int) error) (float64, error) {
-	var wg sync.WaitGroup
-	errs := make(chan error, len(sessions))
-	gate := make(chan struct{})
-	for w := range sessions {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-gate
-			if err := work(sessions[w], w); err != nil {
-				errs <- err
-			}
-		}(w)
-	}
-	start := time.Now()
-	close(gate)
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errs:
-		return 0, err
-	default:
-	}
-	return float64(len(sessions)*perOps) / elapsed.Seconds(), nil
+	elapsed, err := fanOut(len(sessions), func(w int) error { return work(sessions[w], w) })
+	return float64(len(sessions)*perOps) / elapsed.Seconds(), err
 }
 
 // pipelined issues n requests through build with a sliding window of
-// e23Window calls in flight, then drains.
-func pipelined(s server.Session, n int, build func(i int) *server.Request) error {
-	pending := make([]*server.Call, 0, e23Window)
+// window calls in flight, then drains.
+func pipelined(s server.Session, window, n int, build func(i int) *server.Request) error {
+	pending := make([]*server.Call, 0, window)
 	for i := 0; i < n; i++ {
 		pending = append(pending, s.Go(build(i)))
-		if len(pending) == e23Window {
+		if len(pending) == window {
 			if _, err := pending[0].Wait(); err != nil {
 				return err
 			}
@@ -281,30 +294,24 @@ func pipelined(s server.Session, n int, build func(i int) *server.Request) error
 	return nil
 }
 
-// MeasureWirePosting measures posting throughput: each client opens one
-// transaction and invokes Buy perOps times on its own card. mode
+// posting measures posting throughput over open sessions: each opens
+// one transaction and invokes Buy perOps times on its own card. mode
 // "json" runs lockstep (one RTT per invoke); "binary" and "mux"
 // pipeline with a window of e23Window in-flight requests.
-// BenchmarkE23Wire records these rates into BENCH_wire.json.
-func (e *WireEnv) MeasureWirePosting(perOps int, mode string) (float64, error) {
-	sessions, cleanup, err := e.sessions(len(e.Refs), mode)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
+func (e *wireEnv) posting(sessions []server.Session, perOps int, mode string) (float64, error) {
 	return drive(sessions, perOps, func(s server.Session, w int) error {
 		if err := s.Begin(); err != nil {
 			return err
 		}
 		if mode == "json" {
 			for i := 0; i < perOps; i++ {
-				if _, err := s.Invoke(e.Refs[w], "Buy", 1.0); err != nil {
+				if _, err := s.Invoke(e.refs[w], "Buy", 1.0); err != nil {
 					return err
 				}
 			}
 		} else {
-			err := pipelined(s, perOps, func(int) *server.Request {
-				return &server.Request{Op: "invoke", Ref: e.Refs[w], Method: "Buy", Args: []any{1.0}}
+			err := pipelined(s, e23Window, perOps, func(int) *server.Request {
+				return &server.Request{Op: "invoke", Ref: e.refs[w], Method: "Buy", Args: []any{1.0}}
 			})
 			if err != nil {
 				return err
@@ -314,23 +321,27 @@ func (e *WireEnv) MeasureWirePosting(perOps int, mode string) (float64, error) {
 	})
 }
 
+// paired measures every transport as the arms of paired rounds on e;
+// arm i is e23Modes[i].
+func (e *wireEnv) paired(n int, measure func(e *wireEnv, ss []server.Session, n int, mode string) (float64, error)) (*rounds, error) {
+	eps := []*endpoint{&e.endpoint, &e.endpoint, &e.endpoint}
+	return pairedSessions(eps, e23Modes, n, func(arm int, ss []server.Session, k int) (float64, error) {
+		return measure(e, ss, k, e23Modes[arm])
+	})
+}
+
 // measureWireTxns re-runs E16's server table on each transport: one
 // committed transaction per Buy. The pipelined transports keep whole
 // begin/invoke/commit triples in flight — per-session FIFO makes that
 // sound, since the server processes a session's frames in order.
-func (e *WireEnv) measureWireTxns(perTxns int, mode string) (float64, error) {
-	sessions, cleanup, err := e.sessions(len(e.Refs), mode)
-	if err != nil {
-		return 0, err
-	}
-	defer cleanup()
+func (e *wireEnv) measureWireTxns(sessions []server.Session, perTxns int, mode string) (float64, error) {
 	return drive(sessions, perTxns, func(s server.Session, w int) error {
 		if mode == "json" {
 			for i := 0; i < perTxns; i++ {
 				if err := s.Begin(); err != nil {
 					return err
 				}
-				if _, err := s.Invoke(e.Refs[w], "Buy", 1.0); err != nil {
+				if _, err := s.Invoke(e.refs[w], "Buy", 1.0); err != nil {
 					return err
 				}
 				if err := s.Commit(); err != nil {
@@ -339,12 +350,12 @@ func (e *WireEnv) measureWireTxns(perTxns int, mode string) (float64, error) {
 			}
 			return nil
 		}
-		return pipelined(s, 3*perTxns, func(i int) *server.Request {
+		return pipelined(s, e23Window, 3*perTxns, func(i int) *server.Request {
 			switch i % 3 {
 			case 0:
 				return &server.Request{Op: "begin"}
 			case 1:
-				return &server.Request{Op: "invoke", Ref: e.Refs[w], Method: "Buy", Args: []any{1.0}}
+				return &server.Request{Op: "invoke", Ref: e.refs[w], Method: "Buy", Args: []any{1.0}}
 			default:
 				return &server.Request{Op: "commit"}
 			}
@@ -361,82 +372,69 @@ func (r *Runner) E23() Result {
 		"request-ID pipelining lifts server posting throughput >=5x over the JSON protocol's one-RTT-per-posting lockstep at 16 clients on a network-RTT link")
 
 	perOps := r.Cfg.scale(4000)
-	modes := []string{"json", "binary", "mux"}
-
-	fmt.Fprintf(r.W, "postings/s, raw loopback, one open transaction per client (window %d):\n", e23Window)
-	fmt.Fprintf(r.W, "%-10s %14s %14s %14s\n", "clients", "json", "binary", "mux")
-	post := map[string]float64{}
-	for _, clients := range []int{1, 4, 16} {
-		env, err := NewWireEnv(clients)
-		if err != nil {
-			res.Summary = err.Error()
-			return res
-		}
-		row := map[string]float64{}
-		for _, mode := range modes {
-			if row[mode], err = env.MeasureWirePosting(perOps, mode); err != nil {
-				env.Close()
-				res.Summary = err.Error()
-				return res
-			}
-		}
-		env.Close()
-		fmt.Fprintf(r.W, "%-10d %14.0f %14.0f %14.0f\n", clients, row["json"], row["binary"], row["mux"])
-		if clients == 16 {
-			post = row
-		}
-	}
-
-	fmt.Fprintf(r.W, "txn/s, begin+Buy+commit per transaction, 16 clients:\n")
-	env, err := NewWireEnv(16)
-	if err != nil {
+	fail := func(err error) Result {
 		res.Summary = err.Error()
 		return res
 	}
-	txn := map[string]float64{}
-	for _, mode := range modes {
-		if txn[mode], err = env.measureWireTxns(perOps/2, mode); err != nil {
+
+	// Every row runs the three transports as paired rounds; the cells
+	// are medians. The 16-client server stays up for the later tables.
+	fmt.Fprintf(r.W, "postings/s, raw loopback, one open transaction per client (window %d, median of %d paired rounds):\n", e23Window, sessionRounds)
+	fmt.Fprintf(r.W, "%-10s %14s %14s %14s\n", "clients", "json", "binary", "mux")
+	var env *wireEnv
+	var loop *rounds
+	for _, clients := range []int{1, 4, 16} {
+		if env != nil {
 			env.Close()
-			res.Summary = err.Error()
-			return res
 		}
+		var err error
+		if env, err = newWireEnv(clients); err != nil {
+			return fail(err)
+		}
+		if loop, err = env.paired(perOps, (*wireEnv).posting); err != nil {
+			env.Close()
+			return fail(err)
+		}
+		fmt.Fprintf(r.W, "%-10d %14.0f %14.0f %14.0f\n", clients, loop.median(0), loop.median(1), loop.median(2))
 	}
-	env.Close()
-	fmt.Fprintf(r.W, "%-10s %14.0f %14.0f %14.0f\n", "", txn["json"], txn["binary"], txn["mux"])
+	defer env.Close()
+
+	fmt.Fprintf(r.W, "txn/s, begin+Buy+commit per transaction, 16 clients:\n")
+	txn, err := env.paired(perOps/2, (*wireEnv).measureWireTxns)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(r.W, "%-10s %14.0f %14.0f %14.0f\n", "", txn.median(0), txn.median(1), txn.median(2))
 
 	// The headline row: the same 16-client posting load through an
 	// emulated 1 ms-RTT network, where latency — not the loopback
 	// scheduler — is what lockstep pays per posting.
 	const rtt = time.Millisecond
-	env, err = NewWireEnv(16)
+	rttEnv, stop, err := env.withRTT(rtt)
 	if err != nil {
-		res.Summary = err.Error()
-		return res
+		return fail(err)
 	}
-	rttEnv, stop, err := env.WithRTT(rtt)
+	defer stop()
+	rtts, err := rttEnv.paired(perOps, (*wireEnv).posting)
 	if err != nil {
-		env.Close()
-		res.Summary = err.Error()
-		return res
+		return fail(err)
 	}
 	fmt.Fprintf(r.W, "postings/s, emulated %v-RTT network, 16 clients:\n", rtt)
-	rttRow := map[string]float64{}
-	for _, mode := range modes {
-		if rttRow[mode], err = rttEnv.MeasureWirePosting(perOps, mode); err != nil {
-			stop()
-			env.Close()
-			res.Summary = err.Error()
-			return res
-		}
-	}
-	stop()
-	env.Close()
-	fmt.Fprintf(r.W, "%-10s %14.0f %14.0f %14.0f\n", "", rttRow["json"], rttRow["binary"], rttRow["mux"])
+	fmt.Fprintf(r.W, "%-10s %14.0f %14.0f %14.0f\n", "", rtts.median(0), rtts.median(1), rtts.median(2))
 
-	speedup := rttRow["binary"] / rttRow["json"]
-	muxup := rttRow["mux"] / rttRow["json"]
+	speedup, noise := rtts.ratio(1)
+	muxup, _ := rtts.ratio(2)
+	loopBinary, _ := loop.ratio(1)
+	loopMux, _ := loop.ratio(2)
+	txnBinary, _ := txn.ratio(1)
 	res.Passed = speedup >= 5
-	res.Summary = fmt.Sprintf("binary pipelining %.1fx (mux %.1fx) the JSON protocol's posting throughput at 16 clients over a %v-RTT link; raw loopback %.1fx; txn load %.1fx",
-		speedup, muxup, rtt, post["binary"]/post["json"], txn["binary"]/txn["json"])
+	res.Metrics = map[string]float64{
+		"ratio/loopback/binary": loopBinary,
+		"ratio/loopback/mux":    loopMux,
+		"ratio/rtt1ms/binary":   speedup,
+		"ratio/rtt1ms/mux":      muxup,
+	}
+	res.Summary = fmt.Sprintf("binary pipelining %.1fx (mux %.1fx, noise floor %.1fx) the JSON protocol's posting throughput at 16 clients over a %v-RTT link; raw loopback %.1fx; txn load %.1fx",
+		speedup, muxup, noise, rtt, loopBinary, txnBinary)
 	return res
 }

@@ -54,20 +54,17 @@ type e24Node struct {
 	fwd *shard.Forwarder
 }
 
-// ShardEnv is a running shard fleet plus a router in front, shared by
-// the E24 measurement and BenchmarkE24Shard.
-type ShardEnv struct {
+// shardEnv is a running shard fleet plus a router in front. Its
+// endpoint is the router; the cards are spread across shards by the
+// router's create placement.
+type shardEnv struct {
+	endpoint
 	nodes  []*e24Node
 	router *shard.Router
-	// Addr is the router's client-facing address.
-	Addr string
-	// Refs holds one committed card per client, spread across shards by
-	// the router's create placement.
-	Refs []uint64
 }
 
 // Close tears the router and every shard down.
-func (e *ShardEnv) Close() {
+func (e *shardEnv) Close() {
 	if e.router != nil {
 		e.router.Close()
 	}
@@ -80,16 +77,16 @@ func (e *ShardEnv) Close() {
 	}
 }
 
-// NewShardEnv boots shards main-memory shard servers with forwarders, a
+// newShardEnv boots shards main-memory shard servers with forwarders, a
 // router fronting them, and one committed card per client with the
 // DenyCredit trigger active (activated through the router, so placement
 // and activation both take the production path).
-func NewShardEnv(shards, clients int) (*ShardEnv, error) {
+func newShardEnv(shards, clients int) (*shardEnv, error) {
 	ring, err := shard.NewRing(shards, 0)
 	if err != nil {
 		return nil, err
 	}
-	env := &ShardEnv{}
+	env := &shardEnv{}
 	addrs := make([]string, shards)
 	for i := 0; i < shards; i++ {
 		m := dali.New()
@@ -142,17 +139,17 @@ func NewShardEnv(shards, clients int) (*ShardEnv, error) {
 		env.Close()
 		return nil, err
 	}
-	env.Addr = ln.Addr().String()
+	env.addr = ln.Addr().String()
 	go rt.Serve(ln)
 
-	setup, err := server.DialOptions(env.Addr, server.ClientOptions{Binary: true})
+	setup, err := server.DialOptions(env.addr, server.ClientOptions{Binary: true})
 	if err != nil {
 		env.Close()
 		return nil, err
 	}
 	defer setup.Close()
-	env.Refs = make([]uint64, clients)
-	for i := range env.Refs {
+	env.refs = make([]uint64, clients)
+	for i := range env.refs {
 		// One transaction per card: create and activate stay on the
 		// owning shard, and the router's round-robin placement spreads
 		// the cards across the fleet.
@@ -160,12 +157,12 @@ func NewShardEnv(shards, clients int) (*ShardEnv, error) {
 			env.Close()
 			return nil, err
 		}
-		env.Refs[i], err = setup.Create("CredCard", &CredCard{Holder: "bench", CredLim: 1e12, GoodHist: true})
+		env.refs[i], err = setup.Create("CredCard", &CredCard{Holder: "bench", CredLim: 1e12, GoodHist: true})
 		if err != nil {
 			env.Close()
 			return nil, err
 		}
-		if _, err := setup.Activate(env.Refs[i], "DenyCredit"); err != nil {
+		if _, err := setup.Activate(env.refs[i], "DenyCredit"); err != nil {
 			env.Close()
 			return nil, err
 		}
@@ -177,69 +174,48 @@ func NewShardEnv(shards, clients int) (*ShardEnv, error) {
 	return env, nil
 }
 
-// MeasureShardTxns drives perTxns committed transactions per client
-// through the router — each begin/Buy×opsPerTxn/commit pipelined on the
-// client's own binary connection — and returns aggregate postings/s.
-func (e *ShardEnv) MeasureShardTxns(perTxns, opsPerTxn int) (float64, error) {
-	sessions := make([]server.Session, len(e.Refs))
-	for i := range sessions {
-		c, err := server.DialOptions(e.Addr, server.ClientOptions{Binary: true})
-		if err != nil {
-			for _, s := range sessions[:i] {
-				s.Close()
-			}
-			return 0, err
-		}
-		sessions[i] = c
-	}
-	defer func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
+// txns drives perTxns committed transactions per session through the
+// router — each begin/Buy×opsPerTxn/commit pipelined on the session —
+// and returns aggregate postings/s.
+func (e *shardEnv) txns(sessions []server.Session, perTxns, opsPerTxn int) (float64, error) {
 	frame := opsPerTxn + 2 // begin + postings + commit
-	rate, err := drive(sessions, perTxns*opsPerTxn, func(s server.Session, w int) error {
-		return e24Pipelined(s, perTxns*frame, func(i int) *server.Request {
+	return drive(sessions, perTxns*opsPerTxn, func(s server.Session, w int) error {
+		return pipelined(s, e24Window, perTxns*frame, func(i int) *server.Request {
 			switch i % frame {
 			case 0:
 				return &server.Request{Op: "begin"}
 			case frame - 1:
 				return &server.Request{Op: "commit"}
 			default:
-				return &server.Request{Op: "invoke", Ref: e.Refs[w], Method: "Buy", Args: []any{1.0}}
+				return &server.Request{Op: "invoke", Ref: e.refs[w], Method: "Buy", Args: []any{1.0}}
 			}
 		})
 	})
-	return rate, err
 }
 
-// e24Pipelined issues n requests with a sliding window of e24Window
-// calls in flight, then drains (the E23 pipeline at E24's depth).
-func e24Pipelined(s server.Session, n int, build func(i int) *server.Request) error {
-	pending := make([]*server.Call, 0, e24Window)
-	for i := 0; i < n; i++ {
-		pending = append(pending, s.Go(build(i)))
-		if len(pending) == e24Window {
-			if _, err := pending[0].Wait(); err != nil {
-				return err
+// pairedTxns runs the routed transaction workload on each env as the
+// arms of paired rounds (an env may serve more than one arm). prep,
+// when non-nil, runs untimed before each of an arm's segments.
+func pairedTxns(envs []*shardEnv, perTxns, opsPerTxn int, prep func(arm int) error) (*rounds, error) {
+	eps := make([]*endpoint, len(envs))
+	modes := make([]string, len(envs))
+	for i, env := range envs {
+		eps[i], modes[i] = &env.endpoint, "binary"
+	}
+	return pairedSessions(eps, modes, perTxns, func(arm int, ss []server.Session, k int) (float64, error) {
+		if prep != nil {
+			if err := prep(arm); err != nil {
+				return 0, err
 			}
-			pending = pending[1:]
 		}
-	}
-	for _, c := range pending {
-		if _, err := c.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
+		return envs[arm].txns(ss, k, opsPerTxn)
+	})
 }
-
-// E24ShardGrid is the fleet-size axis E24 and BenchmarkE24Shard sweep.
-var E24ShardGrid = []int{1, 2, 4}
 
 // E24 measures shard-fleet throughput scaling: the E23 transaction
 // workload with the DenyCredit trigger active, 16 clients through one
-// router, against 1, 2, and 4 main-memory shards.
+// router, against 1, 2, and 4 main-memory shards. The three fleets are
+// built once and measured as paired rounds.
 func (r *Runner) E24() Result {
 	res := Result{ID: "E24", Title: "horizontal sharding: fleet throughput through one router"}
 	r.header("E24", res.Title, "§6 (single-process implementation), docs/SHARDING.md",
@@ -247,29 +223,38 @@ func (r *Runner) E24() Result {
 
 	const clients, opsPerTxn = 16, 4
 	perTxns := r.Cfg.scale(2000) / opsPerTxn
+	grid := []int{1, 2, 4}
 
-	fmt.Fprintf(r.W, "postings/s, %d clients, begin+Buy×%d+commit per txn, DenyCredit active (window %d, node service time %v):\n",
-		clients, opsPerTxn, e24Window, e24Pace)
-	fmt.Fprintf(r.W, "%-10s %14s %10s\n", "shards", "postings/s", "vs 1")
-	rates := map[int]float64{}
-	for _, shards := range E24ShardGrid {
-		env, err := NewShardEnv(shards, clients)
+	envs := make([]*shardEnv, len(grid))
+	for i, shards := range grid {
+		env, err := newShardEnv(shards, clients)
 		if err != nil {
 			res.Summary = err.Error()
 			return res
 		}
-		rate, err := env.MeasureShardTxns(perTxns, opsPerTxn)
-		env.Close()
-		if err != nil {
-			res.Summary = err.Error()
-			return res
-		}
-		rates[shards] = rate
-		fmt.Fprintf(r.W, "%-10d %14.0f %9.2fx\n", shards, rate, rate/rates[1])
+		defer env.Close()
+		envs[i] = env
+	}
+	rs, err := pairedTxns(envs, perTxns, opsPerTxn, nil)
+	if err != nil {
+		res.Summary = err.Error()
+		return res
 	}
 
-	ratio2 := rates[2] / rates[1]
-	ratio4 := rates[4] / rates[1]
+	fmt.Fprintf(r.W, "postings/s, %d clients, begin+Buy×%d+commit per txn, DenyCredit active (window %d, node service time %v, median of %d paired rounds):\n",
+		clients, opsPerTxn, e24Window, e24Pace, sessionRounds)
+	fmt.Fprintf(r.W, "%-10s %14s %10s %10s\n", "shards", "postings/s", "vs 1", "noise")
+	res.Metrics = map[string]float64{}
+	for i, shards := range grid {
+		ratio, noise := rs.ratio(i)
+		if shards > 1 {
+			res.Metrics[fmt.Sprintf("ratio/shards=%d", shards)] = ratio
+		}
+		fmt.Fprintf(r.W, "%-10d %14.0f %9.2fx %9.2fx\n", shards, rs.median(i), ratio, noise)
+	}
+
+	ratio2 := res.Metrics["ratio/shards=2"]
+	ratio4 := res.Metrics["ratio/shards=4"]
 	res.Passed = ratio4 >= 1.7
 	res.Summary = fmt.Sprintf("4 shards carry %.2fx one shard's routed throughput (2 shards %.2fx), triggers active, router constant",
 		ratio4, ratio2)

@@ -24,11 +24,11 @@ import (
 // run, sparse enough to be a realistic production setting.
 const e25Rate = 16
 
-// SetFleetTraceRate broadcasts a sampling-rate change through the
+// setFleetTraceRate broadcasts a sampling-rate change through the
 // router's trace.rate op and verifies every shard acknowledged the new
 // rate.
-func (e *ShardEnv) SetFleetTraceRate(rate int64) error {
-	c, err := server.DialOptions(e.Addr, server.ClientOptions{Binary: true})
+func (e *shardEnv) setFleetTraceRate(rate int64) error {
+	c, err := server.DialOptions(e.addr, server.ClientOptions{Binary: true})
 	if err != nil {
 		return err
 	}
@@ -63,32 +63,6 @@ func (e *ShardEnv) SetFleetTraceRate(rate int64) error {
 	return nil
 }
 
-// MeasureFleetObs runs the A/B on one fleet: untraced first, then
-// 1-in-e25Rate across every shard, returning aggregate postings/s for
-// each arm. Shared by E25 and BenchmarkE25FleetObs.
-func MeasureFleetObs(shards, clients, perTxns, opsPerTxn int) (untraced, traced float64, err error) {
-	env, err := NewShardEnv(shards, clients)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer env.Close()
-	if err := env.SetFleetTraceRate(-1); err != nil {
-		return 0, 0, err
-	}
-	untraced, err = env.MeasureShardTxns(perTxns, opsPerTxn)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := env.SetFleetTraceRate(e25Rate); err != nil {
-		return 0, 0, err
-	}
-	traced, err = env.MeasureShardTxns(perTxns, opsPerTxn)
-	if err != nil {
-		return 0, 0, err
-	}
-	return untraced, traced, nil
-}
-
 // E25 measures fleet-tracing overhead on the routed E24 workload.
 func (r *Runner) E25() Result {
 	res := Result{ID: "E25", Title: "fleet observability: tracing overhead on the routed workload"}
@@ -97,19 +71,32 @@ func (r *Runner) E25() Result {
 
 	const shards, clients, opsPerTxn = 2, 16, 4
 	perTxns := r.Cfg.scale(2000) / opsPerTxn
-	untraced, traced, err := MeasureFleetObs(shards, clients, perTxns, opsPerTxn)
+	env, err := newShardEnv(shards, clients)
 	if err != nil {
 		res.Summary = err.Error()
 		return res
 	}
-	ratio := traced / untraced
-	fmt.Fprintf(r.W, "postings/s, %d shards, %d clients, begin+Buy×%d+commit per txn, DenyCredit active (window %d, node service time %v):\n",
-		shards, clients, opsPerTxn, e24Window, e24Pace)
+	defer env.Close()
+	// Arm 0 is untraced, arm 1 traced, on the same fleet: each segment
+	// first broadcasts its arm's rate.
+	rates := []int64{-1, e25Rate}
+	rs, err := pairedTxns([]*shardEnv{env, env}, perTxns, opsPerTxn, func(arm int) error {
+		return env.setFleetTraceRate(rates[arm])
+	})
+	if err != nil {
+		res.Summary = err.Error()
+		return res
+	}
+	untraced, traced := rs.median(0), rs.median(1)
+	ratio, noise := rs.ratio(1)
+	fmt.Fprintf(r.W, "postings/s, %d shards, %d clients, begin+Buy×%d+commit per txn, DenyCredit active (window %d, node service time %v, median of %d paired rounds):\n",
+		shards, clients, opsPerTxn, e24Window, e24Pace, sessionRounds)
 	fmt.Fprintf(r.W, "%-24s %14s\n", "tracing", "postings/s")
 	fmt.Fprintf(r.W, "%-24s %14.0f\n", "off (rate -1)", untraced)
-	fmt.Fprintf(r.W, "%-24s %14.0f   (%.1f%% of untraced)\n", fmt.Sprintf("1-in-%d fleet-wide", e25Rate), traced, ratio*100)
+	fmt.Fprintf(r.W, "%-24s %14.0f   (%.1f%% of untraced, noise floor %.1f%%)\n", fmt.Sprintf("1-in-%d fleet-wide", e25Rate), traced, ratio*100, noise*100)
 
 	res.Passed = ratio >= 0.98
+	res.Metrics = map[string]float64{"ratio/traced": ratio}
 	res.Summary = fmt.Sprintf("1-in-%d fleet tracing keeps %.1f%% of untraced routed throughput (%.0f vs %.0f postings/s, %d shards)",
 		e25Rate, ratio*100, traced, untraced, shards)
 	return res

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"ode/internal/baseline/sentinel"
@@ -69,46 +68,29 @@ func (r *Runner) E8() Result {
 		if perWorker < 400 {
 			perWorker = 400 // enough overlap for contention to show
 		}
-		var retries uint64
-		var mu sync.Mutex
-		gate := make(chan struct{})
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				<-gate // all workers start together
-				rnd := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < perWorker; i++ {
-					for {
-						tx := db.Begin()
-						// Touch two cards per transaction in random order
-						// so descriptor writes can deadlock.
-						a, b := rnd.Intn(cards), rnd.Intn(cards)
-						_, err1 := db.Invoke(tx, refs[a], "Query")
-						_, err2 := db.Invoke(tx, refs[b], "Query")
-						if err1 != nil || err2 != nil {
-							tx.Abort()
-							mu.Lock()
-							retries++
-							mu.Unlock()
-							continue
-						}
-						if err := tx.Commit(); err != nil {
-							mu.Lock()
-							retries++
-							mu.Unlock()
-							continue
-						}
+		// Failed transactions (deadlock victims) retry until committed,
+		// so no worker returns an error.
+		elapsed, _ := fanOut(workers, func(w int) error {
+			rnd := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				for {
+					tx := db.Begin()
+					// Touch two cards per transaction in random order
+					// so descriptor writes can deadlock.
+					a, b := rnd.Intn(cards), rnd.Intn(cards)
+					_, err1 := db.Invoke(tx, refs[a], "Query")
+					_, err2 := db.Invoke(tx, refs[b], "Query")
+					if err1 != nil || err2 != nil {
+						tx.Abort()
+						continue
+					}
+					if tx.Commit() == nil {
 						break
 					}
 				}
-			}(w)
-		}
-		close(gate)
-		wg.Wait()
-		elapsed := time.Since(start)
+			}
+			return nil
+		})
 		st := db.Locks().Stats()
 		total := float64(workers * perWorker * 2)
 		return total / elapsed.Seconds(), st.Waits, st.Deadlocks

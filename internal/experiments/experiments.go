@@ -6,13 +6,15 @@
 // check, a micro-benchmark pair whose *shape* (who wins, direction,
 // rough factor) the paper predicts, or a semantics check.
 //
-// cmd/ode-bench runs every experiment and prints the tables;
-// bench_test.go exposes the same measurements as testing.B benchmarks.
+// cmd/ode-bench runs every experiment and prints the tables. Every
+// A/B ratio bar is measured with paired interleaved rounds (rounds.go),
+// and each Result carries the ratios it gates in Metrics.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"ode/internal/core"
@@ -45,6 +47,10 @@ type Result struct {
 	Title   string
 	Passed  bool // the paper-predicted shape held
 	Summary string
+	// Metrics holds the ratios the experiment gates, keyed "ratio/...".
+	// `ode-bench -json` writes them; `ode-benchdiff` compares them with
+	// the committed BENCH.json.
+	Metrics map[string]float64
 }
 
 // Runner executes experiments and writes their tables.
@@ -53,26 +59,48 @@ type Runner struct {
 	Cfg Config
 }
 
+// suite is the ordered experiment table that RunAll and `ode-bench
+// -only` share. E18 (observability overhead) is benchmark-shaped and
+// lives in bench_test.go / EXPERIMENTS.md, so the table skips it.
+var suite = []struct {
+	id  string
+	run func(*Runner) Result
+}{
+	{"E1", (*Runner).E1}, {"E2", (*Runner).E2}, {"E3", (*Runner).E3},
+	{"E4", (*Runner).E4}, {"E5", (*Runner).E5}, {"E6", (*Runner).E6},
+	{"E7", (*Runner).E7}, {"E8", (*Runner).E8}, {"E9", (*Runner).E9},
+	{"E10", (*Runner).E10}, {"E11", (*Runner).E11}, {"E12", (*Runner).E12},
+	{"E13", (*Runner).E13}, {"E14", (*Runner).E14}, {"E15", (*Runner).E15},
+	{"E16", (*Runner).E16}, {"E17", (*Runner).E17}, {"E19", (*Runner).E19},
+	{"E20", (*Runner).E20}, {"E21", (*Runner).E21}, {"E22", (*Runner).E22},
+	{"E23", (*Runner).E23}, {"E24", (*Runner).E24}, {"E25", (*Runner).E25},
+}
+
+// IDs returns every experiment ID in suite order.
+func IDs() []string {
+	ids := make([]string, len(suite))
+	for i, e := range suite {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Run executes the experiment with the given ID; ok is false when no
+// experiment has that ID.
+func (r *Runner) Run(id string) (res Result, ok bool) {
+	for _, e := range suite {
+		if e.id == id {
+			return e.run(r), true
+		}
+	}
+	return Result{}, false
+}
+
 // RunAll executes every experiment in order and returns the results.
 func (r *Runner) RunAll() []Result {
-	type exp struct {
-		id string
-		fn func() Result
-	}
-	exps := []exp{
-		{"E1", r.E1}, {"E2", r.E2}, {"E3", r.E3}, {"E4", r.E4},
-		{"E5", r.E5}, {"E6", r.E6}, {"E7", r.E7}, {"E8", r.E8},
-		{"E9", r.E9}, {"E10", r.E10}, {"E11", r.E11}, {"E12", r.E12},
-		{"E13", r.E13}, {"E14", r.E14}, {"E15", r.E15}, {"E16", r.E16},
-		{"E17", r.E17},
-		// E18 (observability overhead) is benchmark-shaped and lives in
-		// bench_test.go / EXPERIMENTS.md; the runner skips to E19.
-		{"E19", r.E19}, {"E20", r.E20}, {"E21", r.E21}, {"E22", r.E22},
-		{"E23", r.E23}, {"E24", r.E24}, {"E25", r.E25},
-	}
 	var out []Result
-	for _, e := range exps {
-		out = append(out, e.fn())
+	for _, e := range suite {
+		out = append(out, e.run(r))
 		fmt.Fprintln(r.W)
 	}
 	fmt.Fprintf(r.W, "== summary ==\n")
@@ -101,6 +129,31 @@ func perOp(n int, fn func(i int)) float64 {
 		fn(i)
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
+}
+
+// fanOut runs work(0)…work(n-1) on n goroutines released together by
+// one gate. It returns the time from release until every worker is
+// done, and the first error a worker returned.
+func fanOut(n int, work func(w int) error) (time.Duration, error) {
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	gate := make(chan struct{})
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-gate
+			if err := work(w); err != nil {
+				errs <- err
+			}
+		}(w)
+	}
+	start := time.Now()
+	close(gate)
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(errs)
+	return elapsed, <-errs
 }
 
 // bestOp warms fn up and returns the fastest of three timed runs — used

@@ -53,10 +53,12 @@ type Manager struct {
 	// slice owns, skipping the rest (see internal/shard).
 	oidFilter func(uint64) bool
 	// pace (nanoseconds) is an emulated per-commit service time; paceMu
-	// is the serial service line commits queue on when it is set. See
+	// is the serial service line commits queue on when it is set, and
+	// paceEnd (under paceMu) is when the last service ended. See
 	// SetCommitPace.
-	pace   atomic.Int64
-	paceMu sync.Mutex
+	pace    atomic.Int64
+	paceMu  sync.Mutex
+	paceEnd time.Time
 }
 
 // New returns an empty, purely volatile manager.
@@ -100,7 +102,9 @@ func (m *Manager) SetOIDFilter(allow func(uint64) bool) {
 // SetCommitPace installs (or clears, with 0) an emulated per-commit
 // service time: each non-empty ApplyCommit first holds a dedicated pace
 // lock for d, so commits serialize behind it while reads proceed
-// untouched. The knob models one node whose engine serves transactions
+// untouched. A commit that queued behind another starts its service
+// when the previous one was due to end, not when its sleep happened to
+// return, so timer overshoot does not accumulate along a busy queue. The knob models one node whose engine serves transactions
 // one at a time — the paper's single-process Ode (§6) — for experiments
 // that sweep fleet sizes on a host where in-process shards share cores
 // (E24), the same emulation move as E23's fixed-RTT link. Production
@@ -164,8 +168,14 @@ func (m *Manager) Exists(oid storage.OID) bool {
 // MM-Ode (snapshotting is explicit via Checkpoint).
 func (m *Manager) ApplyCommit(txn uint64, ops []storage.Op) error {
 	if d := time.Duration(m.pace.Load()); d > 0 && len(ops) > 0 {
+		arrived := time.Now()
 		m.paceMu.Lock()
-		time.Sleep(d)
+		start := m.paceEnd
+		if arrived.After(start) {
+			start = arrived
+		}
+		m.paceEnd = start.Add(d)
+		time.Sleep(time.Until(m.paceEnd))
 		m.paceMu.Unlock()
 	}
 	m.mu.Lock()

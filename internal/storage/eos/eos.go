@@ -396,10 +396,10 @@ func (m *Manager) buildDirectory() (repaired bool, err error) {
 }
 
 // purgeLoc removes one possibly-stale copy of oid during directory
-// repair. Unlike removeLoc it defends against pages that were reused
-// since the stale location was written: slots are only cleared if they
-// still name oid, overflow walks stop at pages that no longer belong to
-// oid's chain, and cycles through stale next-pointers are cut.
+// repair. Unlike removeLoc it also defends a slotted location against
+// reuse since the stale copy was written: the slot is only cleared if
+// it still names oid. Overflow chains go through freeChain, which stops
+// at pages that no longer belong to oid's chain.
 func (m *Manager) purgeLoc(oid storage.OID, l loc) error {
 	if !l.overflow {
 		p, err := m.getPage(l.pageNo)
@@ -423,9 +423,18 @@ func (m *Manager) purgeLoc(oid storage.OID, l loc) error {
 		}
 		return nil
 	}
+	return m.freeChain(oid, l.pageNo)
+}
+
+// freeChain frees oid's overflow chain starting at head. It stops at
+// the first page that no longer belongs to oid's chain and cuts cycles
+// through stale next-pointers: during recovery the directory comes from
+// the page file, where a chain's head can predate the checkpoint while
+// its continuation pages were since reused and flushed (the buffer pool
+// steals dirty pages), so a next-pointer may name another object's page.
+func (m *Manager) freeChain(oid storage.OID, head uint32) error {
 	visited := make(map[uint32]bool)
-	no := l.pageNo
-	for no != 0 && !visited[no] {
+	for no := head; no != 0 && !visited[no]; {
 		visited[no] = true
 		p, err := m.getPage(no)
 		if err != nil {
@@ -439,7 +448,7 @@ func (m *Manager) purgeLoc(oid storage.OID, l loc) error {
 		p.buf.init(kindFree)
 		m.markDirty(p)
 		delete(m.freeSpace, no)
-		m.addFreePage(no)
+		m.freePages = append(m.freePages, no)
 		no = next
 	}
 	return nil
@@ -964,19 +973,7 @@ func (m *Manager) removeLoc(oid storage.OID, l loc) error {
 		}
 		return nil
 	}
-	no := l.pageNo
-	for no != 0 {
-		p, err := m.getPage(no)
-		if err != nil {
-			return err
-		}
-		next := uint32(p.buf.next())
-		p.buf.init(kindFree)
-		m.markDirty(p)
-		m.freePages = append(m.freePages, no)
-		no = next
-	}
-	return nil
+	return m.freeChain(oid, l.pageNo)
 }
 
 // allocPage returns a usable page number, reusing freed pages first.

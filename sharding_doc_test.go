@@ -46,7 +46,7 @@ func TestShardingDocCoverage(t *testing.T) {
 			t.Errorf("flag %q is not documented in docs/SHARDING.md", flag)
 		}
 	}
-	for _, term := range []string{"E24", "BENCH_shard.json", "exactly once", "watermark"} {
+	for _, term := range []string{"E24", "BENCH.json", "exactly once", "watermark"} {
 		if !strings.Contains(shardDoc, term) {
 			t.Errorf("docs/SHARDING.md does not mention %q", term)
 		}
