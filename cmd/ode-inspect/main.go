@@ -42,9 +42,9 @@
 //
 // With -wire it asks a running ode-server which protocol the connection
 // negotiated and prints the server's wire counters — frames, bytes,
-// connections per protocol (the server's "proto" op). It tries the ODE2
-// binary upgrade first and falls back to JSON if the server is running
-// -protocol json:
+// connections per protocol (the server's "proto" op), over the ODE2
+// binary protocol. Pointed at an ode-router it prints the router's own
+// front counters:
 //
 //	ode-inspect -wire 127.0.0.1:7047
 //
@@ -64,7 +64,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -377,13 +376,9 @@ func fetchVerify(addr string, repair bool, class string) error {
 }
 
 // fetchWire asks the server's proto op what this very connection
-// negotiated, preferring the binary upgrade and falling back to the
-// JSON protocol against a -protocol json server.
+// negotiated, over the binary protocol.
 func fetchWire(addr string) error {
 	c, err := server.DialOptions(addr, server.ClientOptions{Binary: true})
-	if err != nil && errors.Is(err, server.ErrBinaryDisabled) {
-		c, err = server.Dial(addr)
-	}
 	if err != nil {
 		return err
 	}

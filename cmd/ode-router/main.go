@@ -1,7 +1,9 @@
 // Command ode-router fronts a fleet of shard-mode ode-servers: it
-// speaks both client protocols (newline JSON and ODE2 binary) on one
-// listen port and forwards every op to the shard that owns it on the
-// consistent-hash ring (docs/SHARDING.md).
+// serves both client protocols (newline JSON and ODE2 binary) on one
+// listen port through the same protocol front as ode-server, and
+// forwards every op to the shard that owns it on the consistent-hash
+// ring (docs/SHARDING.md). repl.* ops are refused: a replica of a shard
+// dials that shard.
 //
 // The shard list and its order are the ring: every router and every
 // shard must be started with the identical list, or they will disagree
@@ -14,9 +16,10 @@
 //
 // The router is also the fleet's observability plane: metrics, trace,
 // flight, trace.rate, and trace.chain fan out to every shard and answer
-// with merged node-tagged views, and -obs-addr serves the router's own
-// HTTP surface with /readyz gated on shard reachability
-// (docs/OBSERVABILITY.md §"Fleet observability").
+// with merged node-tagged views, proto reports the router's own wire
+// counters, and -obs-addr serves the router's own HTTP surface with
+// /readyz gated on shard reachability (docs/OBSERVABILITY.md §"Fleet
+// observability").
 //
 // Usage:
 //
@@ -45,7 +48,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7047", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard addresses in ring order (required)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0 = default; must match the shards)")
-	streamShard := flag.Int("stream-shard", 0, "shard that receives spliced stream ops and repl.* admin ops")
 	maxReq := flag.Int("max-request", server.DefaultMaxRequestBytes, "per-request size cap in bytes")
 	dialAttempts := flag.Int("dial-attempts", 10, "backend dial attempts before giving up")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address (router metrics, /healthz, /readyz gated on shard reachability; empty = disabled)")
@@ -62,7 +64,6 @@ func main() {
 	rt, err := shard.NewRouter(ring, shard.RouterOptions{
 		Addrs:           addrs,
 		MaxRequestBytes: *maxReq,
-		StreamShard:     *streamShard,
 		Client: server.ClientOptions{
 			DialAttempts: *dialAttempts,
 			RedialBase:   50 * time.Millisecond,

@@ -15,8 +15,7 @@
 // The server speaks two protocols on one port (docs/PROTOCOL.md): the
 // newline-delimited JSON below, and — for clients whose first four
 // bytes are "ODE2" — a length-prefixed binary framing with request IDs,
-// pipelining, and multiplexed sessions. -protocol json disables the
-// binary upgrade.
+// pipelining, and multiplexed sessions. Both are always on.
 //
 // JSON protocol (one transaction per connection):
 //
@@ -119,7 +118,6 @@ func main() {
 	readyLag := flag.Uint64("ready-lag", 1<<20, "replica mode: /readyz reports 503 while replication lag exceeds this many bytes (0 disables the check)")
 	verifyEvery := flag.Duration("verify-every", 0, "replica mode: run a standing anti-entropy audit against the primary at this interval (0 disables)")
 	autoRepair := flag.Bool("auto-repair", false, "replica mode: let the standing audit repair confirmed divergence in place")
-	protocol := flag.String("protocol", "both", `wire protocols to accept: "both" (JSON + ODE2 binary upgrade) or "json"`)
 	shardPeers := flag.String("shard-peers", "", "comma-separated listen addresses of every shard in ring order (enables shard mode; docs/SHARDING.md)")
 	shardIndex := flag.Int("shard-index", -1, "this shard's index into -shard-peers")
 	shardVnodes := flag.Int("shard-vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
@@ -129,13 +127,6 @@ func main() {
 		MaxRequestBytes: *maxReq,
 		IdleTimeout:     *idle,
 		DrainTimeout:    *drain,
-	}
-	switch *protocol {
-	case "both":
-	case "json":
-		opts.DisableBinary = true
-	default:
-		log.Fatalf(`-protocol must be "both" or "json", got %q`, *protocol)
 	}
 
 	var db *ode.Database
@@ -318,7 +309,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("ode-server listening on %s (db: %s, protocols: %s)", bound, storeName(*mem, *dbPath), protoName(opts.DisableBinary))
+	log.Printf("ode-server listening on %s (db: %s, protocols: json+binary)", bound, storeName(*mem, *dbPath))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
@@ -338,11 +329,4 @@ func storeName(mem bool, path string) string {
 		return "main-memory (dali)"
 	}
 	return path
-}
-
-func protoName(jsonOnly bool) string {
-	if jsonOnly {
-		return "json"
-	}
-	return "json+binary"
 }

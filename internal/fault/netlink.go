@@ -127,6 +127,25 @@ func (p *NetPlan) Wrap(conn net.Conn) net.Conn {
 	return &Link{Conn: conn, p: p}
 }
 
+// Listener wraps ln so every connection it accepts reads through the
+// plan: the server side of a link, where the plan faults requests.
+func (p *NetPlan) Listener(ln net.Listener) net.Listener {
+	return &planListener{Listener: ln, p: p}
+}
+
+type planListener struct {
+	net.Listener
+	p *NetPlan
+}
+
+func (l *planListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.p.Wrap(conn), nil
+}
+
 // Dialer returns a dial function (the shape repl.ReplicaOptions.Dial
 // expects) that wraps every new connection with the plan.
 func (p *NetPlan) Dialer() func(addr string, timeout time.Duration) (net.Conn, error) {

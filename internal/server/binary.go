@@ -9,8 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ode/internal/txn"
 )
 
 // Server side of the ODE2 binary protocol (frame.go has the layout,
@@ -20,23 +18,28 @@ import (
 //	reader (this goroutine) ──► per-sid workers ──► writer
 //
 // The reader decodes frames and routes each request to its session's
-// worker; a worker is one sid's session — it owns that sid's open
-// transaction and processes its requests strictly in order (per-session
-// FIFO, matching the JSON protocol's semantics). Different sids proceed
-// concurrently, so responses complete out of order across sessions and
-// the single writer goroutine serializes them back onto the wire,
-// flushing only when its queue runs dry (small-write coalescing: a
-// pipelined burst of responses becomes one TCP segment).
+// worker; a worker owns one sid's FrontSession and starts its requests
+// strictly in order (per-session FIFO, matching the JSON protocol's
+// semantics). A request's Call may complete later — the router's
+// forwarded ops do — so the worker keeps the sid's pending calls in
+// order and hands each response to the writer as soon as it and every
+// earlier one on the sid are complete. A database session completes
+// each call inside Do, so its responses leave one by one as they are
+// handled. Different sids proceed concurrently, so responses complete
+// out of order across sessions and the single writer goroutine
+// serializes them back onto the wire, flushing only when its queue
+// runs dry (small-write coalescing: a pipelined burst of responses
+// becomes one TCP segment).
 //
 // Backpressure is channel depth end to end: a slow client stops the
 // writer, which fills the out queue, which blocks workers, which fills
 // their queues, which blocks the reader — exactly the TCP-level
 // backpressure the JSON protocol gets for free.
 
-// binQueueDepth bounds each worker's request queue and the shared
-// response queue. Deep enough that a pipelining client never stalls on
-// an empty-queue handoff; shallow enough that one connection cannot
-// buffer unbounded work.
+// binQueueDepth bounds each worker's request queue, its pending calls,
+// and the shared response queue. Deep enough that a pipelining client
+// never stalls on an empty-queue handoff; shallow enough that one
+// connection cannot buffer unbounded work.
 const binQueueDepth = 256
 
 // binReq is one routed request; a nil req is the close-session
@@ -170,39 +173,73 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *countingWriter
 	}
 }
 
+// binPending is a started request whose response is not written yet.
+type binPending struct {
+	id   uint64
+	call *Call
+}
+
 // binaryWorker is one session's request loop: strictly in-order within
 // the sid, concurrent across sids.
 func (s *Server) binaryWorker(conn net.Conn, w *binWorker, out chan<- binOut, inflight *atomic.Int64) {
-	sess := &session{srv: s, db: s.db, primary: s.opts.PrimaryAddr, proto: "binary"}
-	defer func() {
-		if sess.tx != nil && sess.tx.State() == txn.Active {
-			sess.tx.Abort()
+	sess := s.open()
+	var (
+		pending []binPending // pending[head:] await writing, oldest first
+		head    int
+	)
+	// emit writes the oldest pending response, waiting for it if need be.
+	emit := func() {
+		p := pending[head]
+		pending[head] = binPending{}
+		if head++; head == len(pending) {
+			pending, head = pending[:0], 0
 		}
-	}()
-	for r := range w.ch {
-		if r.req == nil {
-			// frameClose: abort the open transaction (the same contract a
-			// JSON disconnect has), acknowledge, and retire the worker.
-			if sess.tx != nil && sess.tx.State() == txn.Active {
-				sess.tx.Abort()
-				sess.tx = nil
-			}
-			out <- binOut{sid: w.sid, id: r.id, resp: &Response{OK: true}}
-			return
-		}
-		var resp *Response
-		if fn, ok := s.opts.ExtraOps[r.req.Op]; ok {
-			resp = safeExtra(fn, r.req)
-		} else {
-			resp = sess.safeHandle(r.req)
-		}
-		out <- binOut{sid: w.sid, id: r.id, resp: resp}
+		out <- binOut{sid: w.sid, id: p.id, resp: Relay(p.call.Wait())}
 		if inflight.Add(-1) == 0 && s.opts.IdleTimeout > 0 {
 			// The reader cleared the deadline while work was in flight
 			// and is already blocked; re-arm it here or an idle pipelined
 			// connection would never time out.
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
+	}
+	closeID, closing := uint64(0), false
+	for {
+		for head < len(pending) && pending[head].call.Completed() {
+			emit()
+		}
+		var r binReq
+		ok := true
+		switch n := len(pending) - head; {
+		case n == 0:
+			r, ok = <-w.ch
+		case n >= binQueueDepth:
+			emit()
+			continue
+		default:
+			select {
+			case r, ok = <-w.ch:
+			case <-pending[head].call.Done():
+				continue
+			}
+		}
+		if !ok {
+			break
+		}
+		if r.req == nil {
+			// frameClose: answered once the session is closed (its open
+			// transaction aborted, the same contract a JSON disconnect
+			// has), after every earlier response; the worker retires.
+			closeID, closing = r.id, true
+			break
+		}
+		pending = append(pending, binPending{id: r.id, call: s.do(sess, r.req, "binary")})
+	}
+	for head < len(pending) {
+		emit()
+	}
+	sess.Close()
+	if closing {
+		out <- binOut{sid: w.sid, id: closeID, resp: &Response{OK: true}}
 	}
 }
 

@@ -214,9 +214,6 @@ func (c *Client) ensureConn() error {
 				c.w = w
 				return nil
 			}
-			if errors.Is(err, ErrBinaryDisabled) {
-				break // the server will refuse every retry the same way
-			}
 			continue
 		}
 		var conn net.Conn

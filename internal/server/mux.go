@@ -113,9 +113,6 @@ func (m *Mux) ensureWire() (*wire, error) {
 			m.w = w
 			return w, nil
 		}
-		if errors.Is(err, ErrBinaryDisabled) {
-			break
-		}
 	}
 	return nil, fmt.Errorf("server: dial %s: %w", m.addr, err)
 }

@@ -17,6 +17,11 @@
 // server binary links the application's classes, exactly as an Ode
 // application links the object manager (§2).
 //
+// A Server is the one protocol front: it terminates both protocols and
+// takes its sessions from a FrontSession factory. NewWithOptions serves
+// a database; the shard router (internal/shard) serves a fleet through
+// the same front.
+//
 // Request:  {"op":"invoke","ref":18,"method":"Buy","args":[100]}
 // Response: {"ok":true,"result":...}  or  {"ok":false,"error":"..."}
 package server
@@ -65,12 +70,6 @@ var ErrSnapshotWrite = errors.New("server: transaction is a snapshot (read-only)
 // payload is skipped, the error response carries the request's id, and
 // the connection stays up.
 var ErrRequestTooLarge = errors.New("server: request too large")
-
-// ErrBinaryDisabled reports an ODE2 handshake against a server running
-// with Options.DisableBinary (ode-server -protocol json). The server
-// answers with this error as a JSON response line and closes, so a
-// binary client fails fast instead of hanging on the handshake echo.
-var ErrBinaryDisabled = errors.New("server: binary protocol disabled (server is JSON-only)")
 
 // ErrStreamOverBinary reports a StreamOps op (repl.subscribe,
 // repl.recon) sent over binary framing. Stream ops take over the raw
@@ -169,16 +168,22 @@ type Options struct {
 	// after the request line the handler owns the connection and the
 	// normal request loop never resumes.
 	StreamOps map[string]StreamHandler
-	// DisableBinary refuses the ODE2 handshake (ode-server
-	// -protocol json): a client attempting the upgrade gets
-	// ErrBinaryDisabled as a JSON response line and the connection is
-	// closed. The JSON protocol is unaffected.
-	DisableBinary bool
 }
 
-// Server serves one database to many connections.
+// FrontSession is one session as the protocol front sees it: one JSON
+// connection, or one sid of an ODE2 connection. Do starts one request
+// and returns its Call, which may complete later; the front writes
+// each session's responses in request order. Close ends the session
+// (aborting its open transaction). The front drives a session from one
+// goroutine at a time.
+type FrontSession interface {
+	Do(req *Request) *Call
+	Close()
+}
+
+// Server terminates both client protocols for the sessions it opens.
 type Server struct {
-	db   *core.Database
+	open func() FrontSession
 	opts Options
 	m    *serverMetrics
 
@@ -194,13 +199,22 @@ func New(db *core.Database) *Server { return NewWithOptions(db, Options{}) }
 
 // NewWithOptions wraps db in a server with explicit hardening limits.
 func NewWithOptions(db *core.Database, opts Options) *Server {
+	return NewFront(func() FrontSession {
+		return &session{db: db, primary: opts.PrimaryAddr, extra: opts.ExtraOps}
+	}, db.Observability(), opts)
+}
+
+// NewFront returns a server whose sessions come from open; its server.*
+// wire counters register into reg. Of opts it reads MaxRequestBytes,
+// IdleTimeout, DrainTimeout and StreamOps.
+func NewFront(open func() FrontSession, reg *obs.Registry, opts Options) *Server {
 	if opts.MaxRequestBytes <= 0 {
 		opts.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	return &Server{
-		db:    db,
+		open:  open,
 		opts:  opts,
-		m:     newServerMetrics(db.Observability()),
+		m:     newServerMetrics(reg),
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -212,30 +226,39 @@ func (s *Server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("server: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
+	go s.Serve(ln)
 	return ln.Addr().String(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
+// Serve accepts connections on ln until Close, which makes it return
+// nil; it returns the accept error if ln fails first. It blocks.
+func (s *Server) Serve(ln net.Listener) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ln.Close()
+	}
+	s.listener = ln
+	s.wg.Add(1)
+	s.mu.Unlock()
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
-			return
+			if conn != nil {
+				conn.Close()
+			}
+			return nil
+		}
+		if err != nil {
+			s.mu.Unlock()
+			return err
 		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.serve(conn)
@@ -293,14 +316,30 @@ func (s *Server) Close() error {
 	return err
 }
 
-// session is one connection's (or, over binary framing, one sid's)
-// state.
+// session is a database FrontSession: one connection's (or, over
+// binary framing, one sid's) open transaction. Every request completes
+// before Do returns.
 type session struct {
-	srv     *Server
 	db      *core.Database
 	tx      *txn.Txn
 	primary string // Options.PrimaryAddr: redirect target for writes on a replica
-	proto   string // negotiated transport, "json" or "binary" (the proto op reports it)
+	extra   map[string]func(*Request) *Response
+}
+
+// Do dispatches one request: ExtraOps first, then the built-ins.
+func (sess *session) Do(req *Request) *Call {
+	if fn, ok := sess.extra[req.Op]; ok {
+		return Answered(safeExtra(fn, req))
+	}
+	return Answered(sess.safeHandle(req))
+}
+
+// Close aborts the open transaction, if any.
+func (sess *session) Close() {
+	if sess.tx != nil && sess.tx.State() == txn.Active {
+		sess.tx.Abort()
+	}
+	sess.tx = nil
 }
 
 // serve sniffs the protocol for one connection — the first four bytes
@@ -315,14 +354,9 @@ func (s *Server) serve(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
 	br := bufio.NewReader(&countingReader{r: conn, c: s.m.bytesIn})
-	enc := json.NewEncoder(&countingWriter{w: conn, c: s.m.bytesOut})
+	cw := &countingWriter{w: conn, c: s.m.bytesOut}
 	if magic, err := br.Peek(len(protoMagic)); err == nil && string(magic) == protoMagic {
-		if s.opts.DisableBinary {
-			enc.Encode(&Response{Error: ErrBinaryDisabled.Error()})
-			return
-		}
 		br.Discard(len(protoMagic))
-		cw := &countingWriter{w: conn, c: s.m.bytesOut}
 		if _, err := cw.Write([]byte(protoMagic)); err != nil {
 			return
 		}
@@ -331,19 +365,38 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	s.m.connsJSON.Inc()
-	s.serveJSON(conn, br, enc)
+	s.serveJSON(conn, br, json.NewEncoder(cw))
+}
+
+// do starts one request on sess. proto describes this front, not the
+// session, so the front answers it for every kind of session.
+func (s *Server) do(sess FrontSession, req *Request, proto string) *Call {
+	if req.Op == "proto" {
+		return Answered(&Response{OK: true, Result: s.protoStatus(proto)})
+	}
+	return sess.Do(req)
+}
+
+// protoStatus reports the transport proto names plus the wire counters.
+func (s *Server) protoStatus(proto string) ProtoStatus {
+	return ProtoStatus{
+		Protocol:        proto,
+		MaxRequestBytes: s.opts.MaxRequestBytes,
+		ConnsJSON:       s.m.connsJSON.Value(),
+		ConnsBinary:     s.m.connsBinary.Value(),
+		FramesIn:        s.m.framesIn.Value(),
+		FramesOut:       s.m.framesOut.Value(),
+		BytesIn:         s.m.bytesIn.Value(),
+		BytesOut:        s.m.bytesOut.Value(),
+	}
 }
 
 // serveJSON runs the newline-delimited JSON request loop. Requests are
 // read a line at a time so the size cap applies before any JSON is
 // parsed.
 func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader, enc *json.Encoder) {
-	sess := &session{srv: s, db: s.db, primary: s.opts.PrimaryAddr, proto: "json"}
-	defer func() {
-		if sess.tx != nil && sess.tx.State() == txn.Active {
-			sess.tx.Abort()
-		}
-	}()
+	sess := s.open()
+	defer sess.Close()
 	sc := bufio.NewScanner(br)
 	// Scanner's effective token limit is max(cap(buf), max), so the
 	// initial buffer must not exceed the configured cap.
@@ -385,13 +438,7 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader, enc *json.Encoder) {
 			}
 			return
 		}
-		if fn, ok := s.opts.ExtraOps[req.Op]; ok {
-			if err := enc.Encode(safeExtra(fn, &req)); err != nil {
-				return
-			}
-			continue
-		}
-		if err := enc.Encode(sess.safeHandle(&req)); err != nil {
+		if err := enc.Encode(Relay(s.do(sess, &req, "json").Wait())); err != nil {
 			return
 		}
 	}
@@ -625,22 +672,6 @@ func (sess *session) handle(req *Request) *Response {
 		// tagged with the serving node's label. No transaction needed;
 		// the recorder is always on.
 		return &Response{OK: true, Result: obs.TagIncidents(sess.nodeLabel(), obs.Flight().Snapshot())}
-	case "proto":
-		// Report the transport this very connection negotiated plus the
-		// server's wire counters (ode-inspect -wire). No transaction
-		// needed.
-		st := ProtoStatus{Protocol: sess.proto}
-		if s := sess.srv; s != nil {
-			st.BinaryEnabled = !s.opts.DisableBinary
-			st.MaxRequestBytes = s.opts.MaxRequestBytes
-			st.ConnsJSON = s.m.connsJSON.Value()
-			st.ConnsBinary = s.m.connsBinary.Value()
-			st.FramesIn = s.m.framesIn.Value()
-			st.FramesOut = s.m.framesOut.Value()
-			st.BytesIn = s.m.bytesIn.Value()
-			st.BytesOut = s.m.bytesOut.Value()
-		}
-		return &Response{OK: true, Result: st}
 	default:
 		return sess.fail(fmt.Errorf("unknown op %q", req.Op))
 	}
@@ -704,12 +735,11 @@ type ChainEvents struct {
 }
 
 // ProtoStatus is the proto op's result: which transport the asking
-// connection negotiated, and the server-wide wire counters. Every JSON
+// connection negotiated, and the front's wire counters. Every JSON
 // field here is documented in docs/PROTOCOL.md (enforced by the
 // protocol doc-coverage test).
 type ProtoStatus struct {
 	Protocol        string `json:"protocol"` // "json" or "binary"
-	BinaryEnabled   bool   `json:"binary_enabled"`
 	MaxRequestBytes int    `json:"max_request_bytes"`
 	ConnsJSON       uint64 `json:"conns_json"`
 	ConnsBinary     uint64 `json:"conns_binary"`
@@ -719,8 +749,8 @@ type ProtoStatus struct {
 	BytesOut        uint64 `json:"bytes_out"`
 }
 
-// BuiltinOps returns the name of every op the session dispatcher
-// handles, sorted. It exists so the protocol doc-coverage test (and any
+// BuiltinOps returns the name of every op a database server answers
+// (proto at the front, the rest in the session dispatcher), sorted. It exists so the protocol doc-coverage test (and any
 // future introspection surface) enumerates the real dispatch table
 // instead of a hand-maintained copy; adding a case to handle() without
 // extending this list fails TestBuiltinOpsComplete.

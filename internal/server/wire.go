@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -34,14 +33,29 @@ const clientMaxFrame = 1 << 30
 type Call struct {
 	Req *Request
 
-	resp *Response
-	err  error
-	once sync.Once
-	done chan struct{}
+	resp    *Response
+	err     error
+	once    sync.Once
+	done    chan struct{}
+	start   time.Time
+	elapsed time.Duration
 }
 
 func newCall(req *Request) *Call {
-	return &Call{Req: req, done: make(chan struct{})}
+	return &Call{Req: req, done: make(chan struct{}), start: time.Now()}
+}
+
+// answered is the done channel of every Call built by Answered.
+var answered = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Answered returns a Call already complete with resp: what a
+// FrontSession returns for a request it answered on the spot.
+func Answered(resp *Response) *Call {
+	return &Call{resp: resp, err: respError(resp), done: answered}
 }
 
 // complete settles the call exactly once; later completions (a response
@@ -49,6 +63,7 @@ func newCall(req *Request) *Call {
 func (c *Call) complete(resp *Response, err error) {
 	c.once.Do(func() {
 		c.resp, c.err = resp, err
+		c.elapsed = time.Since(c.start)
 		close(c.done)
 	})
 }
@@ -57,12 +72,36 @@ func (c *Call) complete(resp *Response, err error) {
 // select-based waiting.
 func (c *Call) Done() <-chan struct{} { return c.done }
 
+// Completed reports whether the call has completed, without waiting.
+func (c *Call) Completed() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Wait blocks until the response (or transport failure) and returns it,
 // with the same typed-error mapping as a synchronous call:
 // RedirectError, ErrRemoteAborted, ErrRequestTooLarge.
 func (c *Call) Wait() (*Response, error) {
 	<-c.done
 	return c.resp, c.err
+}
+
+// Elapsed is the time from sending the request to its completion; it
+// is zero for an Answered call. Call it after Done.
+func (c *Call) Elapsed() time.Duration { return c.elapsed }
+
+// Relay turns a call's outcome into the response to pass on: the
+// peer's own response when there is one (error, aborted flag and
+// redirect included), else the transport error.
+func Relay(resp *Response, err error) *Response {
+	if resp == nil {
+		return &Response{Error: err.Error()}
+	}
+	return resp
 }
 
 // wire is one binary-protocol connection.
@@ -78,9 +117,7 @@ type wire struct {
 	err      error // sticky first transport error
 }
 
-// dialWire connects and performs the ODE2 handshake. A server running
-// JSON-only answers the magic with a JSON error line; that surfaces
-// here as ErrBinaryDisabled rather than a hang.
+// dialWire connects and performs the ODE2 handshake.
 func dialWire(addr string, timeout time.Duration) (*wire, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -100,16 +137,8 @@ func dialWire(addr string, timeout time.Duration) (*wire, error) {
 		return nil, fmt.Errorf("server: handshake recv: %w", err)
 	}
 	if string(echo[:]) != protoMagic {
-		// Not an upgrade. A DisableBinary server sends a JSON error
-		// line; read the rest of it for the typed refusal.
-		rest, _ := br.ReadString('\n')
 		conn.Close()
-		var resp Response
-		line := strings.TrimSpace(string(echo[:]) + rest)
-		if json.Unmarshal([]byte(line), &resp) == nil && strings.HasPrefix(resp.Error, ErrBinaryDisabled.Error()) {
-			return nil, ErrBinaryDisabled
-		}
-		return nil, fmt.Errorf("server: binary handshake rejected: %q", line)
+		return nil, fmt.Errorf("server: binary handshake rejected: echo %q", echo[:])
 	}
 	if timeout > 0 {
 		conn.SetDeadline(time.Time{})

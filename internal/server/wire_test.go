@@ -156,9 +156,6 @@ func TestProtoOp(t *testing.T) {
 		if st["protocol"] != want {
 			t.Fatalf("proto over %s = %v, want %q", tr.name, st["protocol"], want)
 		}
-		if st["binary_enabled"] != true {
-			t.Fatalf("binary_enabled = %v", st["binary_enabled"])
-		}
 	})
 }
 
@@ -269,27 +266,6 @@ func TestMalformedPayloadBinaryKeepsConn(t *testing.T) {
 	}
 	if h, resp = readResp(); h.id != 9 || !resp.OK {
 		t.Fatalf("close unknown sid: id=%d resp=%+v", h.id, resp)
-	}
-}
-
-// TestBinaryDisabled: -protocol json servers refuse the handshake with
-// a typed error instead of hanging the client; JSON clients are
-// untouched.
-func TestBinaryDisabled(t *testing.T) {
-	addr, _ := startWireServer(t, Options{DisableBinary: true})
-	if _, err := DialOptions(addr, ClientOptions{Binary: true}); !errors.Is(err, ErrBinaryDisabled) {
-		t.Fatalf("binary dial = %v, want ErrBinaryDisabled", err)
-	}
-	c, err := DialOptions(addr, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
 	}
 }
 

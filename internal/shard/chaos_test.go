@@ -3,13 +3,13 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"ode/internal/fault"
+	"ode/internal/server"
 )
 
 // These tests are the headline proof of the sharding subsystem: a
@@ -21,41 +21,20 @@ import (
 // after the ack frame (corrupted or cut acks force a resend the
 // watermark must absorb).
 
-// faultProxy relays front connections to backend, routing the
-// request-bound byte stream (what the forwarder sends) through plan —
-// so an armed cut kills the link right after the Nth request frame was
-// delivered to the shard: the batch applies, the ack is lost.
-func faultProxy(t *testing.T, backend string, plan *fault.NetPlan) string {
+// faultFront serves shard i's database on a second port whose accepted
+// connections read through plan — so an armed cut kills the link right
+// after the Nth request frame (what the forwarder sends) reached the
+// shard: the batch applies, the ack is lost.
+func faultFront(t *testing.T, c *testCluster, i int, plan *fault.NetPlan) string {
 	t.Helper()
+	db := c.nodes[i].db
+	srv := server.NewWithOptions(db, server.Options{ExtraOps: Ops(db, c.ring, i, c.addrs)})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			front, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			back, err := net.Dial("tcp", backend)
-			if err != nil {
-				front.Close()
-				continue
-			}
-			wrapped := plan.Wrap(front)
-			go func() {
-				io.Copy(back, wrapped) // requests, faulted
-				back.Close()
-				front.Close()
-			}()
-			go func() {
-				io.Copy(front, back) // acks, clean
-				front.Close()
-				back.Close()
-			}()
-		}
-	}()
+	go srv.Serve(plan.Listener(ln))
+	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
 }
 
@@ -101,13 +80,13 @@ func TestCrossShardExactlyOnceRequestCutSweep(t *testing.T) {
 		t.Run(fmt.Sprintf("cut_after_request_%d", k), func(t *testing.T) {
 			plan := fault.NewNetPlan(int64(k)).CutAfterFrames(k)
 			var once sync.Once
-			var proxyAddr string
+			var faultAddr string
 			c := startCluster(t, 2, clusterConfig{
 				noRouter: true,
-				fwdAddrs: func(addrs []string) []string {
-					once.Do(func() { proxyAddr = faultProxy(t, addrs[1], plan) })
-					out := append([]string(nil), addrs...)
-					out[1] = proxyAddr
+				fwdAddrs: func(c *testCluster) []string {
+					once.Do(func() { faultAddr = faultFront(t, c, 1, plan) })
+					out := append([]string(nil), c.addrs...)
+					out[1] = faultAddr
 					return out
 				},
 			})
@@ -186,13 +165,13 @@ func TestCrossShardExactlyOnceDialFailures(t *testing.T) {
 func TestCrossShardBatchRedeliveryCounters(t *testing.T) {
 	plan := fault.NewNetPlan(7).CutAfterFrames(1)
 	var once sync.Once
-	var proxyAddr string
+	var faultAddr string
 	c := startCluster(t, 2, clusterConfig{
 		noRouter: true,
-		fwdAddrs: func(addrs []string) []string {
-			once.Do(func() { proxyAddr = faultProxy(t, addrs[1], plan) })
-			out := append([]string(nil), addrs...)
-			out[1] = proxyAddr
+		fwdAddrs: func(c *testCluster) []string {
+			once.Do(func() { faultAddr = faultFront(t, c, 1, plan) })
+			out := append([]string(nil), c.addrs...)
+			out[1] = faultAddr
 			return out
 		},
 	})

@@ -15,9 +15,10 @@ import (
 func storageOID(oid uint64) storage.OID { return storage.OID(oid) }
 
 // Doc is the cross-shard test class: "Pair" is a `,`-sequence composite
-// whose first half typically arrives from another shard, and "Chain" is
-// a trigger whose action posts a user event to an arbitrary (possibly
-// remote) object — the shard-A-fires-first half of the headline test.
+// whose first half typically arrives from another shard, "Chain" is a
+// trigger whose action posts a user event to an arbitrary (possibly
+// remote) object — the shard-A-fires-first half of the headline test —
+// and "Veto" dooms the transaction that pokes its object.
 type Doc struct {
 	Audits int
 	Next   uint64 // Chain posts First here when it fires
@@ -38,6 +39,11 @@ func docClass() *core.Class {
 			func(ctx *core.Ctx, self any, act *core.Activation) error {
 				_, err := ctx.Invoke(ctx.Self(), "Bump")
 				return err
+			}),
+		core.Trigger("Veto", "after Poke",
+			func(ctx *core.Ctx, self any, act *core.Activation) error {
+				ctx.TAbort()
+				return nil
 			}),
 		core.Trigger("Chain", "Kick",
 			func(ctx *core.Ctx, self any, act *core.Activation) error {
@@ -74,8 +80,8 @@ type clusterConfig struct {
 	// link interposition). nil entries mean the default dialer.
 	dialFor func(self int) func(string, time.Duration) (net.Conn, error)
 	// fwdAddrs, when set, overrides the forwarder's view of the shard
-	// addresses (pointing a link at a fault proxy).
-	fwdAddrs func(addrs []string) []string
+	// addresses (pointing a link at a faulted port).
+	fwdAddrs func(c *testCluster) []string
 	// noRouter skips the router (shard-direct tests).
 	noRouter bool
 }
@@ -119,7 +125,7 @@ func startCluster(t *testing.T, n int, cfg clusterConfig) *testCluster {
 	for i, node := range c.nodes {
 		fa := c.addrs
 		if cfg.fwdAddrs != nil {
-			fa = cfg.fwdAddrs(c.addrs)
+			fa = cfg.fwdAddrs(c)
 		}
 		opts := ForwarderOptions{Self: i, Addrs: fa, Poll: 5 * time.Millisecond, Timeout: 2 * time.Second}
 		if cfg.dialFor != nil {

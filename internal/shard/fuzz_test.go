@@ -2,6 +2,8 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
 	"ode/internal/server"
@@ -13,6 +15,7 @@ import (
 // decision. No panic, no out-of-range destination, and every
 // non-forwardable request carries a typed error; a request is never
 // double-forwarded because the decision space is a single Route value.
+// Every repl.* op is refused with ErrReplViaRouter.
 func FuzzRouteRequest(f *testing.F) {
 	seeds := []string{
 		`{"op":"begin"}`,
@@ -34,6 +37,8 @@ func FuzzRouteRequest(f *testing.F) {
 		`{"op":"repl.recon"}`,
 		`{"op":"repl.verify","repair":true}`,
 		`{"op":"repl.promote"}`,
+		`{"op":"repl.status"}`,
+		`{"op":"repl."}`,
 		`{"op":""}`,
 		`{"op":"nonsense","ref":99}`,
 		`{"not":"a request"}`,
@@ -56,15 +61,16 @@ func FuzzRouteRequest(f *testing.F) {
 			req = server.Request{}
 		}
 		r := routeOf(ring, &req)
+		if strings.HasPrefix(req.Op, "repl.") && (r.Kind != routeReject || !errors.Is(r.Err, ErrReplViaRouter)) {
+			t.Fatalf("op %q: routed %d (%v), want a refusal with ErrReplViaRouter", req.Op, r.Kind, r.Err)
+		}
 		switch r.Kind {
-		case routeLocal, routeCreate, routeAll, routeStream:
+		case routeLocal, routeCreate, routeAll:
 			if r.Err != nil {
 				t.Fatalf("op %q: kind %d carries unexpected error %v", req.Op, r.Kind, r.Err)
 			}
 		case routeOne:
-			// -1 is the repl.* placeholder resolved to StreamShard at
-			// dispatch; anything else must be a real ring slot.
-			if r.Dest != -1 && (r.Dest < 0 || r.Dest >= ring.Shards()) {
+			if r.Dest < 0 || r.Dest >= ring.Shards() {
 				t.Fatalf("op %q: destination %d out of range for %d shards", req.Op, r.Dest, ring.Shards())
 			}
 		case routeReject:

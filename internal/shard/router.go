@@ -1,16 +1,12 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,11 +14,11 @@ import (
 	"ode/internal/server"
 )
 
-// Router terminates both client protocols (newline JSON and ODE2
-// binary) in front of a shard fleet and forwards each op to the shard
-// that owns it. The client-visible contract is the single-server one —
-// same ops, same JSON payloads, same session model — with documented
-// deviations (docs/SHARDING.md):
+// Router serves a shard fleet through the one protocol front
+// (server.Server, both client protocols) and forwards each op to the
+// shard that owns it. The client-visible contract is the single-server
+// one — same ops, same JSON payloads, same session model, same framing
+// and wire counters — with documented deviations (docs/SHARDING.md):
 //
 //   - A transaction that touches several shards commits per shard, in
 //     shard order, not atomically: a crash mid-commit can land a prefix.
@@ -30,9 +26,8 @@ import (
 //     fan out to every shard and answer with the merged, node-tagged
 //     fleet view (metrics folds in the router's own registry and a
 //     "fleet" aggregate; docs/OBSERVABILITY.md §"Fleet observability").
-//   - Stream ops splice to StreamShard on the JSON protocol and fail
-//     with ErrStreamOverBinary on binary framing, exactly as a single
-//     server would.
+//   - repl.* and shard.ingest ops are refused with typed errors: they
+//     are per-node, so their callers dial a shard directly.
 //
 // Backends are one Mux per shard: every front session maps to a lazily
 // created MuxSession per shard it touches, so backend connections are
@@ -43,21 +38,15 @@ type Router struct {
 	muxes []*server.Mux
 	reg   *obs.Registry
 	rr    atomic.Uint64
+	front *server.Server
 
 	requests *obs.Counter
 	fanouts  *obs.Counter
 	rejects  *obs.Counter
-	streams  *obs.Counter
 
 	routeNs   *obs.Histogram
 	forwardNs *obs.Histogram
 	mergeNs   *obs.Histogram
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // RouterOptions configures NewRouter.
@@ -69,17 +58,17 @@ type RouterOptions struct {
 	// MaxRequestBytes caps one front request. Default
 	// server.DefaultMaxRequestBytes.
 	MaxRequestBytes int
-	// StreamShard receives spliced JSON stream connections
-	// (repl.subscribe, repl.recon) and repl.* admin ops. Default 0.
-	StreamShard int
-	// DialTimeout bounds the stream-splice backend dial. Default 5s.
-	DialTimeout time.Duration
 }
 
 // ErrIngestViaRouter rejects a shard.ingest sent through the router:
 // the op is shard-to-shard (each batch is bound to one origin/owner
 // pair) and cannot be meaningfully split by a relay.
 var ErrIngestViaRouter = errors.New("shard: shard.ingest must be sent to the owning shard directly, not through the router")
+
+// ErrReplViaRouter rejects every repl.* op sent through the router:
+// replication streams, audits and promotion are per node, so a replica
+// of a shard dials that shard.
+var ErrReplViaRouter = errors.New("shard: repl.* ops must be sent to a shard directly, not through the router")
 
 // ErrUnknownOp rejects an op the router has no routing rule for.
 var ErrUnknownOp = errors.New("shard: unknown op")
@@ -90,28 +79,18 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	if len(opts.Addrs) != ring.Shards() {
 		return nil, fmt.Errorf("shard: %d addrs for %d shards", len(opts.Addrs), ring.Shards())
 	}
-	if opts.MaxRequestBytes <= 0 {
-		opts.MaxRequestBytes = server.DefaultMaxRequestBytes
-	}
-	if opts.StreamShard < 0 || opts.StreamShard >= ring.Shards() {
-		return nil, fmt.Errorf("shard: stream shard %d out of range", opts.StreamShard)
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	rt := &Router{
-		ring:  ring,
-		opts:  opts,
-		reg:   obs.NewRegistry(),
-		conns: make(map[net.Conn]struct{}),
+		ring: ring,
+		opts: opts,
+		reg:  obs.NewRegistry(),
 	}
 	rt.requests = rt.reg.Counter("shard.route_requests", "count", "client requests routed to a shard")
 	rt.fanouts = rt.reg.Counter("shard.route_fanouts", "count", "requests fanned out to every shard")
 	rt.rejects = rt.reg.Counter("shard.route_rejects", "count", "requests rejected at the router (typed error)")
-	rt.streams = rt.reg.Counter("shard.route_streams", "count", "stream connections spliced to a shard")
 	rt.routeNs = rt.reg.Histogram("router.route_ns", "ns", "time to classify a request and ready its backend (lazy transaction join included)")
-	rt.forwardNs = rt.reg.Histogram("router.forward_ns", "ns", "backend round-trip time per synchronously forwarded call (pipelined binary batches are not individually timed)")
+	rt.forwardNs = rt.reg.Histogram("router.forward_ns", "ns", "backend round-trip time per forwarded call, from send to completion")
 	rt.mergeNs = rt.reg.Histogram("router.merge_ns", "ns", "time to merge a fan-out's responses into the fleet view")
+	rt.front = server.NewFront(rt.newSession, rt.reg, server.Options{MaxRequestBytes: opts.MaxRequestBytes})
 	rt.muxes = make([]*server.Mux, ring.Shards())
 	for i, addr := range opts.Addrs {
 		m, err := server.DialMux(addr, opts.Client)
@@ -126,68 +105,22 @@ func NewRouter(ring *Ring, opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-// Observability exposes the router's metric registry (shard.route_*).
+// Observability exposes the router's metric registry: shard.route_*,
+// router.* and the front's server.* wire counters.
 func (rt *Router) Observability() *obs.Registry { return rt.reg }
 
 // Serve accepts front connections on ln until Close. It blocks.
-func (rt *Router) Serve(ln net.Listener) error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return errors.New("shard: router closed")
-	}
-	rt.ln = ln
-	rt.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			rt.mu.Lock()
-			closed := rt.closed
-			rt.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		rt.mu.Lock()
-		rt.conns[conn] = struct{}{}
-		rt.mu.Unlock()
-		rt.wg.Add(1)
-		go func() {
-			defer rt.wg.Done()
-			defer func() {
-				rt.mu.Lock()
-				delete(rt.conns, conn)
-				rt.mu.Unlock()
-				conn.Close()
-			}()
-			rt.serveConn(conn)
-		}()
-	}
-}
+func (rt *Router) Serve(ln net.Listener) error { return rt.front.Serve(ln) }
 
-// Close stops accepting, hangs up every front connection, and closes
-// the backend muxes (which aborts any open backend transactions).
+// Close stops accepting, hangs up every front connection (closing its
+// sessions), and closes the backend muxes, which aborts any open
+// backend transactions.
 func (rt *Router) Close() error {
-	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil
-	}
-	rt.closed = true
-	ln := rt.ln
-	for c := range rt.conns {
-		c.Close()
-	}
-	rt.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	rt.wg.Wait()
+	err := rt.front.Close()
 	for _, m := range rt.muxes {
 		m.Close()
 	}
-	return nil
+	return err
 }
 
 // --- routing decisions --------------------------------------------------------
@@ -200,7 +133,6 @@ const (
 	routeOne                     // exactly one shard: Route.Dest
 	routeCreate                  // one shard, chosen round-robin at dispatch
 	routeAll                     // fan-out to every shard, merge
-	routeStream                  // stream op: splice (JSON) or typed error (binary)
 	routeReject                  // typed error: Route.Err
 )
 
@@ -215,9 +147,10 @@ type Route struct {
 }
 
 // routeOf classifies req. Pure: no router state, no side effects.
+// (proto never gets here: the protocol front answers it.)
 func routeOf(ring *Ring, req *server.Request) Route {
 	switch req.Op {
-	case "begin", "commit", "abort", "proto":
+	case "begin", "commit", "abort":
 		return Route{Kind: routeLocal}
 	case "create":
 		return Route{Kind: routeCreate}
@@ -235,11 +168,9 @@ func routeOf(ring *Ring, req *server.Request) Route {
 		return Route{Kind: routeAll}
 	case "shard.ingest":
 		return Route{Kind: routeReject, Err: ErrIngestViaRouter}
-	case "repl.subscribe", "repl.recon":
-		return Route{Kind: routeStream}
 	default:
 		if strings.HasPrefix(req.Op, "repl.") {
-			return Route{Kind: routeOne, Dest: -1} // resolved to StreamShard at dispatch
+			return Route{Kind: routeReject, Err: ErrReplViaRouter}
 		}
 		return Route{Kind: routeReject, Err: fmt.Errorf("%w %q", ErrUnknownOp, req.Op)}
 	}
@@ -247,29 +178,92 @@ func routeOf(ring *Ring, req *server.Request) Route {
 
 // --- per-session dispatch -----------------------------------------------------
 
-// rsession is one front session's routing state: which backend
-// MuxSessions it holds and which of them have an open transaction. Not
-// safe for concurrent use; the binary front serializes per sid.
+// rsession is the router's FrontSession: which backend MuxSessions a
+// front session holds, which of them have an open transaction, and
+// which forwarded calls it has not yet observed. The front drives it
+// from one goroutine.
 type rsession struct {
 	rt       *Router
-	proto    string // "json" | "binary"
 	backends map[int]*server.MuxSession
 	touched  map[int]struct{} // backends holding an open transaction
 	inTx     bool
 	snapshot bool
+	pending  []forwarded
 }
 
-func (rt *Router) newSession(proto string) *rsession {
+// forwarded is a call sent to shard dest and not yet observed.
+type forwarded struct {
+	dest int
+	call *server.Call
+}
+
+func (rt *Router) newSession() server.FrontSession {
 	return &rsession{
 		rt:       rt,
-		proto:    proto,
 		backends: make(map[int]*server.MuxSession),
 		touched:  make(map[int]struct{}),
 	}
 }
 
-// close retires every backend session (aborting their transactions).
-func (s *rsession) close() {
+// Do starts one request. Single-shard ops are forwarded without
+// waiting: the backend Call is the response, so a pipelining client
+// keeps its depth through the router. Every other op is a barrier that
+// first settles the session's forwarded calls.
+func (s *rsession) Do(req *server.Request) *server.Call {
+	rt := s.rt
+	r := routeOf(rt.ring, req)
+	if r.Kind != routeOne && r.Kind != routeCreate {
+		s.settle(true)
+		return server.Answered(s.handle(req, r))
+	}
+	s.settle(false)
+	d := r.Dest
+	if r.Kind == routeCreate {
+		d = int(rt.rr.Add(1)) % rt.ring.Shards()
+	}
+	rt.requests.Add(1)
+	t0 := time.Now()
+	b, failed := s.enter(d)
+	rt.routeNs.Observe(time.Since(t0).Nanoseconds())
+	if failed != nil {
+		return server.Answered(failed)
+	}
+	call := b.Go(req)
+	s.pending = append(s.pending, forwarded{dest: d, call: call})
+	return call
+}
+
+// settle observes the session's forwarded calls, oldest first — every
+// one when wait is set, else up to the first still in flight — timing
+// each and mirroring a backend abort (trigger TAbort, deadlock victim)
+// onto the whole front transaction: the single-server contract. Ops
+// pipelined behind an aborted one fail at their backends ("no open
+// transaction"), exactly as a pipelining client of a single server
+// would see.
+func (s *rsession) settle(wait bool) {
+	n := 0
+	for ; n < len(s.pending); n++ {
+		f := s.pending[n]
+		if !wait && !f.call.Completed() {
+			break
+		}
+		resp, _ := f.call.Wait()
+		s.rt.forwardNs.Observe(f.call.Elapsed().Nanoseconds())
+		if resp != nil && resp.Aborted {
+			s.abortTouched(f.dest)
+		}
+	}
+	if n > 0 {
+		m := copy(s.pending, s.pending[n:])
+		clear(s.pending[m:])
+		s.pending = s.pending[:m]
+	}
+}
+
+// Close settles the forwarded calls and retires every backend session
+// (aborting their transactions).
+func (s *rsession) Close() {
+	s.settle(true)
 	for _, b := range s.backends {
 		b.Close()
 	}
@@ -300,72 +294,25 @@ func (s *rsession) enter(d int) (*server.MuxSession, *server.Response) {
 	if _, ok := s.touched[d]; ok {
 		return b, nil
 	}
-	resp, err := b.Call(&server.Request{Op: "begin", Snapshot: s.snapshot})
-	if err != nil {
-		return nil, &server.Response{Error: err.Error()}
-	}
-	if !resp.OK {
+	if resp := server.Relay(b.Call(&server.Request{Op: "begin", Snapshot: s.snapshot})); !resp.OK {
 		return nil, resp
 	}
 	s.touched[d] = struct{}{}
 	return b, nil
 }
 
-// handle dispatches one non-stream request and returns its response.
-func (s *rsession) handle(req *server.Request) *server.Response {
+// handle answers one barrier op, routed r.
+func (s *rsession) handle(req *server.Request, r Route) *server.Response {
 	rt := s.rt
-	r := routeOf(rt.ring, req)
 	switch r.Kind {
-	case routeReject:
-		rt.rejects.Add(1)
-		return &server.Response{Error: r.Err.Error()}
-	case routeStream:
-		// Reached only on the binary front (the JSON loop splices
-		// stream ops before dispatch) — same refusal as a server.
-		rt.rejects.Add(1)
-		return &server.Response{Error: server.ErrStreamOverBinary.Error()}
 	case routeLocal:
 		return s.handleLocal(req)
-	case routeCreate:
-		rt.requests.Add(1)
-		d := int(rt.rr.Add(1)) % rt.ring.Shards()
-		return s.forward(d, req)
-	case routeOne:
-		rt.requests.Add(1)
-		d := r.Dest
-		if d < 0 {
-			d = rt.opts.StreamShard // repl.* admin ops
-		}
-		return s.forward(d, req)
 	case routeAll:
 		rt.fanouts.Add(1)
 		return s.fanout(req)
 	}
 	rt.rejects.Add(1)
-	return &server.Response{Error: fmt.Sprintf("shard: unroutable op %q", req.Op)}
-}
-
-// forward sends req to shard d inside the session's transaction.
-func (s *rsession) forward(d int, req *server.Request) *server.Response {
-	t0 := time.Now()
-	b, failed := s.enter(d)
-	s.rt.routeNs.Observe(time.Since(t0).Nanoseconds())
-	if failed != nil {
-		return failed
-	}
-	t1 := time.Now()
-	resp, err := b.Call(req)
-	s.rt.forwardNs.Observe(time.Since(t1).Nanoseconds())
-	if err != nil {
-		return &server.Response{Error: err.Error()}
-	}
-	if resp.Aborted {
-		// The backend rolled the transaction back (tabort, deadlock).
-		// Mirror the single-server contract: the whole front
-		// transaction is over, so abort the other joined shards too.
-		s.abortTouched(d)
-	}
-	return resp
+	return &server.Response{Error: r.Err.Error()}
 }
 
 // abortTouched aborts every joined backend except skip (already
@@ -402,11 +349,8 @@ func (s *rsession) fanoutScan(req *server.Request) *server.Response {
 			return failed
 		}
 		t0 := time.Now()
-		resp, err := b.Call(req)
+		resp := server.Relay(b.Call(req))
 		s.rt.forwardNs.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return &server.Response{Error: err.Error()}
-		}
 		if !resp.OK {
 			return resp
 		}
@@ -434,11 +378,8 @@ func (s *rsession) fanoutObs(req *server.Request) *server.Response {
 	calls := make([]*server.Response, rt.ring.Shards())
 	for d := 0; d < rt.ring.Shards(); d++ {
 		t0 := time.Now()
-		resp, err := s.backend(d).Call(&breq)
+		resp := server.Relay(s.backend(d).Call(&breq))
 		rt.forwardNs.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return &server.Response{Error: fmt.Sprintf("shard %d: %v", d, err)}
-		}
 		if !resp.OK {
 			return &server.Response{Error: fmt.Sprintf("shard %d: %s", d, resp.Error)}
 		}
@@ -580,274 +521,38 @@ type RateAcks struct {
 	Acks []RateAck `json:"acks"`
 }
 
-// handleLocal answers the ops the router owns: the transaction
-// boundary, topology, and router introspection.
+// handleLocal answers the transaction boundary, which the router owns.
 func (s *rsession) handleLocal(req *server.Request) *server.Response {
-	switch req.Op {
-	case "begin":
+	if req.Op == "begin" {
 		if s.inTx {
 			return &server.Response{Error: "transaction already open"}
 		}
 		s.inTx = true
 		s.snapshot = req.Snapshot
 		return &server.Response{OK: true}
-	case "commit", "abort":
-		if !s.inTx {
-			return &server.Response{Error: "no open transaction (send begin first)"}
-		}
-		dests := make([]int, 0, len(s.touched))
-		for d := range s.touched {
-			dests = append(dests, d)
-		}
-		sort.Ints(dests) // deterministic commit order (docs/SHARDING.md)
-		var errs []string
-		aborted := false
-		for _, d := range dests {
-			resp, err := s.backends[d].Call(&server.Request{Op: req.Op})
-			switch {
-			case err != nil:
-				errs = append(errs, fmt.Sprintf("shard %d: %v", d, err))
-			case !resp.OK:
-				errs = append(errs, fmt.Sprintf("shard %d: %s", d, resp.Error))
-				aborted = aborted || resp.Aborted
-			}
-		}
-		s.touched = make(map[int]struct{})
-		s.inTx = false
-		s.snapshot = false
-		if len(errs) > 0 {
-			return &server.Response{Error: strings.Join(errs, "; "), Aborted: aborted}
-		}
-		return &server.Response{OK: true}
-	case "proto":
-		st := server.ProtoStatus{
-			Protocol:        s.proto,
-			BinaryEnabled:   true,
-			MaxRequestBytes: s.rt.opts.MaxRequestBytes,
-		}
-		return &server.Response{OK: true, Result: st}
 	}
-	return &server.Response{Error: fmt.Sprintf("shard: unroutable local op %q", req.Op)}
-}
-
-// --- front protocol loops -----------------------------------------------------
-
-// serveConn sniffs the protocol (the same 4-byte upgrade a server
-// does) and runs the matching loop.
-func (rt *Router) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	magic, err := br.Peek(len(server.ProtoMagic))
-	if err == nil && string(magic) == server.ProtoMagic {
-		br.Discard(len(server.ProtoMagic))
-		if _, err := conn.Write([]byte(server.ProtoMagic)); err != nil {
-			return
-		}
-		rt.serveBinary(conn, br)
-		return
+	// commit or abort
+	if !s.inTx {
+		return &server.Response{Error: "no open transaction (send begin first)"}
 	}
-	rt.serveJSON(conn, br)
-}
-
-// serveJSON runs the newline-JSON loop: one session, one request at a
-// time — the single-server session model.
-func (rt *Router) serveJSON(conn net.Conn, br *bufio.Reader) {
-	sess := rt.newSession("json")
-	defer sess.close()
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(br)
-	initial := 4096
-	if initial > rt.opts.MaxRequestBytes {
-		initial = rt.opts.MaxRequestBytes
+	dests := make([]int, 0, len(s.touched))
+	for d := range s.touched {
+		dests = append(dests, d)
 	}
-	sc.Buffer(make([]byte, initial), rt.opts.MaxRequestBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var req server.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			enc.Encode(&server.Response{Error: "malformed request: " + err.Error()})
-			return
-		}
-		if routeOf(rt.ring, &req).Kind == routeStream {
-			// The stream handler owns the connection from here on; the
-			// router's part is a dumb byte splice to the stream shard.
-			rt.splice(conn, br, line)
-			return
-		}
-		if err := enc.Encode(sess.handle(&req)); err != nil {
-			return
+	sort.Ints(dests) // deterministic commit order (docs/SHARDING.md)
+	var errs []string
+	aborted := false
+	for _, d := range dests {
+		if resp := server.Relay(s.backends[d].Call(&server.Request{Op: req.Op})); !resp.OK {
+			errs = append(errs, fmt.Sprintf("shard %d: %s", d, resp.Error))
+			aborted = aborted || resp.Aborted
 		}
 	}
-}
-
-// splice connects the front conn to the stream shard, replays the
-// request line, and copies bytes both ways until either side hangs up.
-func (rt *Router) splice(conn net.Conn, br *bufio.Reader, line []byte) {
-	rt.streams.Add(1)
-	back, err := net.DialTimeout("tcp", rt.opts.Addrs[rt.opts.StreamShard], rt.opts.DialTimeout)
-	if err != nil {
-		json.NewEncoder(conn).Encode(&server.Response{Error: fmt.Sprintf("shard: splice to shard %d: %v", rt.opts.StreamShard, err)})
-		return
+	s.touched = make(map[int]struct{})
+	s.inTx = false
+	s.snapshot = false
+	if len(errs) > 0 {
+		return &server.Response{Error: strings.Join(errs, "; "), Aborted: aborted}
 	}
-	defer back.Close()
-	if _, err := back.Write(append(line, '\n')); err != nil {
-		json.NewEncoder(conn).Encode(&server.Response{Error: err.Error()})
-		return
-	}
-	done := make(chan struct{}, 2)
-	go func() { io.Copy(back, br); back.Close(); done <- struct{}{} }()
-	go func() { io.Copy(conn, back); conn.Close(); done <- struct{}{} }()
-	<-done
-	<-done
-}
-
-// binForwardWindow caps how many forwarded calls one sid keeps in
-// flight before settling them — a memory bound, not a pacing knob (the
-// batch normally settles when the sid's queue runs dry).
-const binForwardWindow = 64
-
-// serveBinary runs the frame loop: one rsession per sid, requests
-// within a sid in order, sids concurrent — the Mux server model.
-func (rt *Router) serveBinary(conn net.Conn, br *bufio.Reader) {
-	var wmu sync.Mutex
-	bw := bufio.NewWriter(conn)
-	reply := func(sid uint32, id uint64, resp *server.Response) {
-		payload, err := json.Marshal(resp)
-		if err != nil {
-			payload, _ = json.Marshal(&server.Response{Error: err.Error()})
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := server.WriteFrame(bw, server.Frame{Type: server.FrameResponse, SID: sid, ID: id, Payload: payload}); err == nil {
-			bw.Flush()
-		}
-	}
-
-	type sidState struct {
-		queue chan server.Frame
-	}
-	sids := make(map[uint32]*sidState)
-	var wg sync.WaitGroup
-	defer func() {
-		for _, st := range sids {
-			close(st.queue)
-		}
-		wg.Wait()
-	}()
-
-	// runSid forwards pipelined: consecutive single-shard ops already
-	// queued by a pipelining client are issued to their backends via Go
-	// and settled when the queue runs dry (or a transaction boundary
-	// arrives), so the router adds no round trip of its own per op. The
-	// backend's per-session FIFO keeps a batch ordered, and responses
-	// are matched by frame ID, so replies settling as a batch are
-	// indistinguishable from lockstep to the client.
-	runSid := func(st *sidState) {
-		defer wg.Done()
-		sess := rt.newSession("binary")
-		defer sess.close()
-		type pend struct {
-			sid  uint32
-			id   uint64
-			dest int
-			call *server.Call
-		}
-		var pending []pend
-		flush := func() {
-			for _, p := range pending {
-				resp, err := p.call.Wait()
-				if err != nil {
-					resp = &server.Response{Error: err.Error()}
-				} else if resp.Aborted {
-					// The backend rolled the transaction back; mirror
-					// forward()'s contract. Ops already in flight behind
-					// this one fail at their backends ("no open
-					// transaction"), exactly as a pipelining client of a
-					// single server would see.
-					sess.abortTouched(p.dest)
-				}
-				reply(p.sid, p.id, resp)
-			}
-			pending = pending[:0]
-		}
-		handle := func(f server.Frame) {
-			if f.Type == server.FrameClose {
-				flush()
-				sess.close()
-				sess = rt.newSession("binary") // a reused sid starts fresh
-				reply(f.SID, f.ID, &server.Response{OK: true})
-				return
-			}
-			req := new(server.Request)
-			if err := json.Unmarshal(f.Payload, req); err != nil {
-				reply(f.SID, f.ID, &server.Response{Error: "malformed request: " + err.Error()})
-				return
-			}
-			switch r := routeOf(rt.ring, req); r.Kind {
-			case routeOne, routeCreate:
-				d := r.Dest
-				if r.Kind == routeCreate {
-					d = int(rt.rr.Add(1)) % rt.ring.Shards()
-				} else if d < 0 {
-					d = rt.opts.StreamShard // repl.* admin ops
-				}
-				rt.requests.Add(1)
-				t0 := time.Now()
-				b, failed := sess.enter(d)
-				rt.routeNs.Observe(time.Since(t0).Nanoseconds())
-				if failed != nil {
-					reply(f.SID, f.ID, failed)
-					return
-				}
-				pending = append(pending, pend{sid: f.SID, id: f.ID, dest: d, call: b.Go(req)})
-				if len(pending) >= binForwardWindow {
-					flush()
-				}
-			default:
-				// Transaction boundaries, fan-outs, local ops, and typed
-				// refusals observe every forwarded response first.
-				flush()
-				reply(f.SID, f.ID, sess.handle(req))
-			}
-		}
-		for {
-			var f server.Frame
-			var ok bool
-			if len(pending) > 0 {
-				select {
-				case f, ok = <-st.queue:
-				default:
-					flush() // queue ran dry: settle the batch
-					f, ok = <-st.queue
-				}
-			} else {
-				f, ok = <-st.queue
-			}
-			if !ok {
-				flush()
-				return
-			}
-			handle(f)
-		}
-	}
-
-	for {
-		f, err := server.ReadFrame(br, rt.opts.MaxRequestBytes)
-		if err != nil {
-			return // disconnect or framing error: hang up, sids drain via defer
-		}
-		if f.Type != server.FrameRequest && f.Type != server.FrameClose {
-			return // protocol violation
-		}
-		st, ok := sids[f.SID]
-		if !ok {
-			st = &sidState{queue: make(chan server.Frame, 256)}
-			sids[f.SID] = st
-			wg.Add(1)
-			go runSid(st)
-		}
-		st.queue <- f
-	}
+	return &server.Response{OK: true}
 }

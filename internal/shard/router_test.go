@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"net"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -228,47 +226,61 @@ func TestRouterRejectsIngest(t *testing.T) {
 	}
 }
 
-// TestRouterStreamOps (satellite): stream ops through the router fail
-// with the server's exact typed error on binary framing and pass
-// through to a shard on JSON — on both protocols, the single-server
-// contract survives the extra hop.
+// TestRouterStreamOps: every repl.* op through the router — the
+// stream ops included — is refused with ErrReplViaRouter on both
+// protocols, and the connection stays usable afterwards.
 func TestRouterStreamOps(t *testing.T) {
 	c := startCluster(t, 2, clusterConfig{})
+	for _, binary := range []bool{false, true} {
+		cl, err := server.DialOptions(c.raddr, server.ClientOptions{Binary: binary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []string{"repl.subscribe", "repl.recon", "repl.status", "repl.verify", "repl.promote"} {
+			_, err := cl.Call(&server.Request{Op: op})
+			if err == nil || !strings.Contains(err.Error(), ErrReplViaRouter.Error()) {
+				t.Fatalf("binary=%v: %s through router = %v, want ErrReplViaRouter", binary, op, err)
+			}
+		}
+		if err := cl.Begin(); err != nil {
+			t.Fatalf("binary=%v: connection unusable after repl refusal: %v", binary, err)
+		}
+		if err := cl.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if n := cl.Reconnects(); n != 0 {
+			t.Fatalf("binary=%v: client redialed %d times; a refusal must keep the connection", binary, n)
+		}
+		cl.Close()
+	}
+}
 
-	// Binary: typed refusal, connection stays usable.
-	mux, err := server.DialMux(c.raddr, server.ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mux.Session()
-	_, err = s.Call(&server.Request{Op: "repl.subscribe"})
-	if err == nil || !strings.Contains(err.Error(), server.ErrStreamOverBinary.Error()) {
-		t.Fatalf("stream over binary through router = %v, want ErrStreamOverBinary", err)
-	}
-	if err := s.Begin(); err != nil {
-		t.Fatalf("connection unusable after stream refusal: %v", err)
-	}
-	if err := s.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	mux.Close()
-
-	// JSON: the request is spliced through to the stream shard. The
-	// test shards run main-memory stores with no hub, so the shard
-	// answers "unknown op" — the proof is that the *shard's* answer
-	// (not a router rejection) comes back on the front connection.
-	conn, err := net.Dial("tcp", c.raddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "{\"op\":\"repl.subscribe\"}\n")
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, "unknown op") || strings.Contains(line, "router") {
-		t.Fatalf("JSON stream op through router answered %q, want the shard's own response", strings.TrimSpace(line))
+// TestRouterAbortedCommitTyped: a commit a trigger doomed reaches the
+// client through the router as the server sent it — aborted, so the
+// client sees ErrRemoteAborted — on both protocols.
+func TestRouterAbortedCommitTyped(t *testing.T) {
+	c := startCluster(t, 2, clusterConfig{})
+	ref := mkDoc(t, c.nodes[0], &Doc{})
+	activate(t, c.nodes[0], ref, "Veto")
+	for _, binary := range []bool{false, true} {
+		cl, err := server.DialOptions(c.raddr, server.ClientOptions{Binary: binary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Invoke(ref, "Poke"); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Commit(); !errors.Is(err, server.ErrRemoteAborted) {
+			t.Fatalf("binary=%v: doomed commit through router = %v, want ErrRemoteAborted", binary, err)
+		}
+		if err := cl.Begin(); err != nil {
+			t.Fatalf("binary=%v: begin after the abort: %v", binary, err)
+		}
+		cl.Abort()
+		cl.Close()
 	}
 }
 

@@ -41,7 +41,7 @@ func TestShardingDocCoverage(t *testing.T) {
 
 	// The fleet CLI surface: a reader must be able to boot a fleet from
 	// the spec alone.
-	for _, flag := range []string{"-shard-peers", "-shard-index", "-shard-vnodes", "-shards", "-stream-shard", "-obs-addr"} {
+	for _, flag := range []string{"-shard-peers", "-shard-index", "-shard-vnodes", "-shards", "-obs-addr"} {
 		if !strings.Contains(shardDoc, flag) {
 			t.Errorf("flag %q is not documented in docs/SHARDING.md", flag)
 		}
